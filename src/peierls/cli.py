@@ -322,12 +322,80 @@ _RUNNERS = {
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_model(x) -> bool:
+    """A model parameter as ``_model_param`` writes it."""
+    return isinstance(x, dict) and (
+        _is_str(x.get("builtin"))
+        or (_is_str(x.get("path")) and _is_str(x.get("sha256", ""))))
+
+
+def _list_of(check):
+    return lambda x: isinstance(x, list) and all(map(check, x))
+
+
+# Manifest parameters each command reads, as (required, optional) maps from
+# name to value check.  Optional parameters may be missing or null.
+_PARAMS = {
+    "model-check": ({"model": _is_model}, {"budget": _is_int}),
+    "contours": ({"model": _is_model, "config": _is_str}, {}),
+    "verify": ({"model": _is_model, "box": _is_str,
+                "betas": _list_of(_is_number), "exterior": _is_int},
+               {"budget": _is_int, "workers": _is_int}),
+    "census": ({"d": _is_int, "r": _is_int, "n_max": _is_int},
+               {"budget": _is_int, "model": _is_model,
+                "site": _list_of(_is_int), "exterior": _is_int,
+                "max_interior": _is_int}),
+    "sample": ({"model": _is_model, "box": _is_str, "beta": _is_number,
+                "seed": _is_int, "samples": _is_int, "burn_in": _is_int},
+               {"thinning": _is_int, "kernel": _is_str, "exterior": _is_int,
+                "site": _list_of(_is_int)}),
+    "coexist": ({"model": _is_model, "boxes": _list_of(_is_str),
+                 "betas": _list_of(_is_number)},
+                {"site": _list_of(_is_int), "budget": _is_int,
+                 "workers": _is_int}),
+}
+
+
+def _check_params(command: str, params) -> None:
+    """Refuse manifest parameters that ``command`` cannot run with."""
+    if not isinstance(params, dict):
+        raise InputError(f"manifest params must be an object, got {params!r}")
+    required, optional = _PARAMS[command]
+    for name in required:
+        if name not in params:
+            raise InputError(f"{command} manifest lacks parameter {name!r}")
+    for name, check in {**optional, **required}.items():
+        value = params.get(name)
+        if (name in required or value is not None) and not check(value):
+            raise InputError(
+                f"{command} manifest parameter {name!r} has a bad value {value!r}")
+    if (command == "census" and params.get("model") is not None
+            and params.get("site") is None):
+        raise InputError("census manifest with a model lacks parameter 'site'")
+
+
 def _run_rerun(manifest_path: str, out_dir: Path, workers: int | None) -> int:
     manifest = load_manifest(manifest_path)
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: a manifest must be a JSON object")
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise InputError(f"manifest has unknown command {command!r}")
-    params = dict(manifest.get("params", {}))
+    params = manifest.get("params", {})
+    _check_params(command, params)
+    params = dict(params)
     if workers is not None:
         params["workers"] = workers
     return _RUNNERS[command](params, out_dir)
@@ -457,8 +525,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {out_dir}: "
+                             f"{exc.strerror or exc}") from exc
         if args.command == "rerun":
             return _run_rerun(args.manifest, out_dir, args.workers)
         params = _params_from_args(args)

@@ -138,3 +138,27 @@ def test_coexist_refuses_asymmetric_model(tmp_path):
     save(biased, mpath)
     assert main(["coexist", "--model", str(mpath), "--boxes", "2x2",
                  "--betas", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    {"command": "verify"},  # model-check params lack "box"
+    {"params": {"model": "ising", "budget": None}},  # a bare model string
+    {"params": [1, 2]},
+])
+def test_rerun_of_a_bad_manifest_exits_two(tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    assert main(["model-check", "--builtin", "ising", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest.update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest))
+    assert main(["rerun", str(bad), "--out", str(tmp_path / "o2")]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_out_directory_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["model-check", "--builtin", "ising",
+                 "--out", str(blocker / "run")]) == 2
+    assert "output directory" in capsys.readouterr().err

@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from peierls import (Box, ChainSpec, Configuration, FiniteVolumeEnsemble,
-                     InputError, conditional_hamiltonian, contours,
-                     enumerate_distribution, estimate_contour_size_tail,
-                     potts_model, rooted_contour_counts, run_chain,
-                     site_conditional, site_indicator, tail_envelope)
+                     InputError, builtin_model, conditional_hamiltonian,
+                     contours, enumerate_distribution,
+                     estimate_contour_size_tail, potts_model,
+                     rooted_contour_counts, run_chain, site_conditional,
+                     site_indicator, tail_envelope)
+from peierls import mcmc
 from peierls.mcmc import _ChainState
 
 from conftest import random_configs
@@ -137,3 +140,51 @@ def test_large_box_low_temperature_regression(ising):
     res = run_chain(spec, {"p2": site_indicator(box, box.center, 2)})
     assert res.means["p2"] < 0.05
     assert res.means["p2"] == 0.0  # frozen seeded value
+
+
+def center_indicators(box, q):
+    return {f"p{v}": site_indicator(box, box.center, v) for v in range(1, q + 1)}
+
+
+@pytest.mark.parametrize("spec_text, side, beta, seed, kernel, digest", [
+    ("ising", 3, 0.6, 11, "heat-bath",
+     "c744e930944dec80d1fe9e093cf3aa9b79654b1081f5f90e38bc92cb45b21d3d"),
+    ("ising", 3, 0.6, 19, "metropolis",
+     "52466e4ea67ae44e3a17b94bf4eeac828b21dd2a3480f73cb953c20d31bb52f4"),
+    ("potts:q=3", 4, 0.8, 5, "heat-bath",
+     "b0060f5cf0c15ff1993641fa0cc2d6dda7ac1fc197eb5c82bf57bbf6fcd91dd1"),
+    # the chains above are cold enough that the visit order never changes
+    # them; these hot ones are not
+    ("potts:q=3,r=2", 6, 0.3, 4, "heat-bath",
+     "4aa1b3a481a8314230f5e45187c30c48078bfe16e04048c754abb4e6d7b37be2"),
+    ("potts:q=3,r=2", 6, 0.3, 4, "metropolis",
+     "233d0dfbef9c5d5a226189d4f46ac32f589fd7f11683c18eb2bee26102cf9713"),
+])
+def test_chain_series_are_pinned(spec_text, side, beta, seed, kernel, digest):
+    # digests of chains run by the implementation that built a new Philox
+    # generator per stream and computed every conditional afresh
+    model = builtin_model(spec_text)
+    ens = make_ensemble(model, side, beta)
+    spec = ChainSpec(ensemble=ens, seed=seed, burn_in=50, samples=500,
+                     kernel=kernel)
+    series = run_chain(spec, center_indicators(ens.box, model.q),
+                       keep_series=True).series
+    data = np.stack([series[k] for k in sorted(series)]).tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_conditional_cache_cap_cannot_change_a_chain(monkeypatch):
+    # potts:q=3,r=2 at high temperature misses the cache on most updates
+    model = builtin_model("potts:q=3,r=2")
+    ens = make_ensemble(model, 6, 0.3)
+    spec = ChainSpec(ensemble=ens, seed=4, burn_in=20, samples=200)
+    obs = center_indicators(ens.box, model.q)
+    uncapped = run_chain(spec, obs, keep_series=True).series
+    cap = 5
+    monkeypatch.setattr(mcmc, "_CACHE_CAP", cap)
+    # entries are never evicted, so the size after the last sweep bounds it
+    sizes = [len(state.thresholds) for state in mcmc._recorded_states(spec)]
+    assert sizes[-1] == cap
+    capped = run_chain(spec, obs, keep_series=True).series
+    for name in obs:
+        assert np.array_equal(capped[name], uncapped[name])
