@@ -8,7 +8,7 @@ minimizing patterns; when the minimizers are exactly the constant patterns
 of the symmetric sector, the constants are certified as the ground states.
 """
 
-from peierls import (build_cube_potential, check_symmetry, excited_potts_model,
+from peierls import (CubePotential, check_symmetry, excited_potts_model,
                      potential_spectrum, potts_model, verify_ground_states)
 
 for model in (potts_model(q=2), potts_model(q=3), excited_potts_model(q=3, s=2)):
@@ -25,7 +25,7 @@ for model in (potts_model(q=2), potts_model(q=3), excited_potts_model(q=3, s=2))
 
 # a closer look at the two-spin model: every pattern of one cube
 model = potts_model(q=2)
-pot = build_cube_potential(model)
+pot = CubePotential(model)
 print("\ncube patterns of the two-spin model (sites", pot.sites, "):")
 seen = {}
 import itertools

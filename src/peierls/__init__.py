@@ -10,13 +10,12 @@ seeded single-site Monte Carlo.
 __version__ = "0.1.0"
 
 from .errors import CapacityError, CertificationError, InputError, VerificationError
-from .lattice import (Box, Cube, Site, chebyshev_distance, containing_cube_count,
-                      cubes_meeting, cubes_meeting_box, diameter)
+from .lattice import (Box, Cube, Site, ball_offsets, chebyshev_distance,
+                      containing_cube_count, cubes_meeting, cubes_meeting_box, diameter)
 from .model import (CubePotential, GroundStateReport, InteractionTerm, ModelSpec,
-                    PeierlsReport, SpectrumSummary, build_cube_potential,
-                    builtin_model, check_symmetry, conditional_hamiltonian,
-                    excited_potts_model, ising_model, permute_spins,
-                    potential_spectrum, potts_model, relative_hamiltonian,
+                    PeierlsReport, SpectrumSummary, builtin_model, check_symmetry,
+                    conditional_hamiltonian, excited_potts_model, ising_model,
+                    permute_spins, potential_spectrum, potts_model, relative_hamiltonian,
                     require_certified, verify_ground_states, verify_peierls)
 from .contours import (Boundary, Configuration, Contour, Subcontour, boundary,
                        contours, remove_contour, subcontours)
@@ -26,8 +25,7 @@ from .exact import (ContourRecord, ContourStatistics, DistributionSummary,
                     dlr_consistency, enumerate_distribution, full_sweep,
                     index_of_config, marginal_trend, verify_peierls_bound)
 from .census import (CensusRecord, CensusReport, ConnectorReport, CubeGraph,
-                     contour_roundtrip_mismatches, count_rooted_connected_subgraphs,
-                     count_rooted_contours, max_degree, rooted_contour_counts,
+                     contour_roundtrip_mismatches, max_degree, rooted_contour_counts,
                      rooted_subgraph_counts, subgraph_census, verify_connector_bound)
 from .mcmc import (ChainResult, ChainSpec, TailReport, estimate_contour_size_tail,
                    run_chain, site_conditional, site_indicator, tail_envelope)

@@ -22,52 +22,35 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .contours import Configuration, Contour, contours as extract_contours
+from .contours import Configuration, Contour, _label_components, contours as extract_contours
 from .errors import CapacityError, InputError, VerificationError
-from .lattice import Box, Site, chebyshev_distance
+from .lattice import Box, Site, ball_offsets, cubes_meeting
 from .model import ModelSpec, require_certified
 
 DEFAULT_SET_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class CubeGraph:
-    """The graph on range-r cube anchors with edges between intersecting cubes."""
+    """The graph on range-r cube anchors with edges between intersecting cubes.
 
-    d: int
-    r: int
+    Its neighbourhood is also the distance-r adjacency of sites, which is how
+    contour interiors are connected.
+    """
+
+    def __init__(self, d: int, r: int):
+        self.d = d
+        self.r = r
+        self.offsets = ball_offsets(d, r)
 
     def neighbors(self, anchor: Site) -> list:
-        out = []
-        for off in itertools.product(range(-self.r, self.r + 1), repeat=self.d):
-            if any(c != 0 for c in off):
-                out.append(tuple(a + o for a, o in zip(anchor, off)))
-        return out
-
-    @property
-    def degree(self) -> int:
-        return max_degree(self.d, self.r)
+        return [tuple(a + o for a, o in zip(anchor, off)) for off in self.offsets]
 
 
 def max_degree(d: int, r: int) -> int:
-    """Degree of the cube graph: (2r+1)^d - 1, confirmed by enumeration.
-
-    The enumeration walks every anchor offset in the window and tests actual
-    interval overlap on each axis before trusting the closed form.
-    """
-    enumerated = 0
-    for off in itertools.product(range(-r - 1, r + 2), repeat=d):
-        if all(c == 0 for c in off):
-            continue
-        if all(abs(c) <= r for c in off):  # [0,r] and [c,c+r] overlap iff |c| <= r
-            enumerated += 1
-    closed = (2 * r + 1) ** d - 1
-    if enumerated != closed:
-        raise VerificationError(
-            f"degree enumeration gave {enumerated}, closed form {closed}")
-    return closed
+    """Degree of the cube graph: (2r+1)^d - 1."""
+    return (2 * r + 1) ** d - 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +104,8 @@ def rooted_subgraph_counts(d: int, r: int, n_max: int,
     Returns counts[n] for n = 0..n_max (counts[0] = 0).  By vertex
     transitivity the counts do not depend on the root.
     """
-    graph = CubeGraph(d, r)
+    if min(d, r, n_max) < 1:
+        raise InputError(f"need d, r and n_max >= 1, got d={d}, r={r}, n_max={n_max}")
     if root is None:
         root = (0,) * d
     counts = [0] * (n_max + 1)
@@ -129,23 +113,8 @@ def rooted_subgraph_counts(d: int, r: int, n_max: int,
     def visit(size, _members):
         counts[size] += 1
 
-    _explore_rooted(root, graph.neighbors, n_max, budget, visit)
+    _explore_rooted(root, CubeGraph(d, r).neighbors, n_max, budget, visit)
     return counts
-
-
-def count_rooted_connected_subgraphs(d: int, r: int, n: int,
-                                     budget: int = DEFAULT_SET_BUDGET) -> int:
-    """Exact number of connected cube sets of size n containing a fixed cube,
-    asserted against the bound (e*k)^n."""
-    if n < 1:
-        raise InputError(f"size must be >= 1, got {n}")
-    count = rooted_subgraph_counts(d, r, n, budget=budget)[n]
-    k = max_degree(d, r)
-    bound = (math.e * k) ** n
-    if count > bound:
-        raise VerificationError(
-            f"rooted connected-set count {count} exceeds (e*k)^n = {bound}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -215,37 +184,25 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     d, r, q, s = model.d, model.r, model.q, model.s
     marks_allowed = [v for v in range(1, q + 1) if v != exterior]
     cube_volume = (r + 1) ** d
+    ball = CubeGraph(d, r).neighbors
 
-    def ball(site):
-        out = [tuple(a + o for a, o in zip(site, off))
-               for off in itertools.product(range(-r, r + 1), repeat=d)
-               if any(c != 0 for c in off)]
-        if within is not None:
-            out = [site for site in out if within.contains(site)]
-        return out
+    def ball_within(site):
+        return [n for n in ball(site) if within.contains(n)]
 
     results = []
 
     def visit(size, members):
         results.append(tuple(members[:size]))
 
-    _explore_rooted(x, ball, max_interior, budget, visit)
+    _explore_rooted(x, ball if within is None else ball_within, max_interior,
+                    budget, visit)
 
     for sites in results:
         site_list = list(sites)
-        site_set = set(site_list)
-        anchors = set()
-        for p in site_list:
-            for off in itertools.product(range(-r, 1), repeat=d):
-                anchors.add(tuple(c + o for c, o in zip(p, off)))
-        cube_members = []
-        for a in sorted(anchors):
-            inside = [
-                site_list.index(site)
-                for site in itertools.product(*(range(c, c + r + 1) for c in a))
-                if site in site_set
-            ]
-            cube_members.append(inside)
+        position = {site: j for j, site in enumerate(site_list)}
+        cube_members = [
+            [position[site] for site in cube.sites() if site in position]
+            for cube in cubes_meeting(site_list, r)]
         for marking in itertools.product(marks_allowed, repeat=len(site_list)):
             improper = 0
             for inside in cube_members:
@@ -288,17 +245,6 @@ def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
         raise VerificationError("a rooted contour count exceeds its bound",
                                 details=report)
     return report
-
-
-def count_rooted_contours(model: ModelSpec, x: Site, n: int,
-                          exterior: int = 1, max_interior: int | None = None,
-                          budget: int = DEFAULT_SET_BUDGET) -> int:
-    """Exact number of contours of size n rooted at x (see rooted_contour_counts)."""
-    if max_interior is None:
-        max_interior = _default_interior_cap(n, model.d, model.r)
-    report = rooted_contour_counts(model, x, n, exterior=exterior,
-                                   max_interior=max_interior, budget=budget)
-    return report.records[n - 1].count
 
 
 def contour_roundtrip_mismatches(model: ModelSpec, x: Site, n_max: int,
@@ -355,34 +301,9 @@ def _anchor_graph(anchors: Sequence[Site], r: int):
     hi = tuple(max(a[k] for a in anchors) for k in range(len(anchors[0])))
     hull = list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
     index = {a: i for i, a in enumerate(hull)}
-    adj = [[] for _ in hull]
-    for i, a in enumerate(hull):
-        for off in itertools.product(range(-r, r + 1), repeat=len(a)):
-            if all(c == 0 for c in off):
-                continue
-            b = tuple(x + o for x, o in zip(a, off))
-            j = index.get(b)
-            if j is not None:
-                adj[i].append(j)
+    graph = CubeGraph(len(lo), r)
+    adj = [[index[b] for b in graph.neighbors(a) if b in index] for a in hull]
     return hull, index, adj
-
-
-def _components(vertices: Iterable[int], adj) -> list:
-    vs = set(vertices)
-    comps = []
-    while vs:
-        start = vs.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in vs:
-                    vs.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-    return comps
 
 
 def _steiner_min_vertices(adj, terminals: Sequence[int]) -> int:
@@ -446,10 +367,10 @@ def _greedy_connector_size(adj, terminals: Sequence[int]) -> int:
     """Connect terminal components by repeatedly adding a shortest bridge path."""
     chosen = set(terminals)
     while True:
-        comps = _components(chosen, _restrict_adj(adj, chosen))
-        if len(comps) <= 1:
+        labels = _label_components(list(set(chosen)), adj)
+        if max(labels.values()) == 0:
             return len(chosen)
-        comp = comps[0]
+        comp = {v for v, c in labels.items() if c == 0}
         # BFS from the first component through the full graph to any other
         parent = {v: None for v in comp}
         queue = list(comp)
@@ -475,11 +396,6 @@ def _greedy_connector_size(adj, terminals: Sequence[int]) -> int:
             v = parent[v]
 
 
-def _restrict_adj(adj, allowed: set):
-    return [[u for u in adj[v] if u in allowed] if v in allowed else []
-            for v in range(len(adj))]
-
-
 def verify_connector_bound(gamma: Contour, exact_limit: int = 8) -> ConnectorReport:
     """Check that the improper cubes admit a connector of at most twice their
     number of vertices.  Exact minimal search up to ``exact_limit`` terminals
@@ -492,8 +408,7 @@ def verify_connector_bound(gamma: Contour, exact_limit: int = 8) -> ConnectorRep
     bound = 2 * len(anchors)
     hull, index, adj = _anchor_graph(anchors, r)
     terminals = [index[a] for a in anchors]
-    comps = _components(terminals, _restrict_adj(adj, set(terminals)))
-    if len(comps) == 1:
+    if max(_label_components(terminals, adj).values()) == 0:
         return ConnectorReport(connector_size=len(anchors), bound=bound,
                                passes=True, exact=True)
     if len(anchors) <= exact_limit:

@@ -6,15 +6,21 @@ directory; ``rerun MANIFEST`` re-executes a manifest, and with the same
 worker count the CSV outputs are byte-identical.
 
 Exit codes: 0 all checks pass, 1 a verified bound failed or a model is not
-certifiable, 2 bad input, 3 an enumeration exceeded its budget.
+certifiable, 2 bad input, 3 an enumeration exceeded its budget, 4 an internal
+error (any other exception; a defect, never a verdict on the model).
+
+Each command is one row of ``_COMMANDS``: its runner, its help and its
+parameters, from which the parser, the manifest params and rerun's checks
+are all built.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .census import rooted_contour_counts, subgraph_census
@@ -33,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +88,14 @@ def parse_betas(text: str) -> list:
         raise InputError(f"bad beta list {text!r}") from exc
 
 
-def _model_param(args) -> dict:
-    if getattr(args, "builtin", None):
+def _model_param(args, required: bool) -> dict | None:
+    if args.builtin:
         return {"builtin": args.builtin}
-    if getattr(args, "model", None):
+    if args.model:
         return {"path": str(args.model), "sha256": sha256_file(args.model)}
-    raise InputError("a model is required: pass --model PATH or --builtin SPEC")
+    if required:
+        raise InputError("a model is required: pass --model PATH or --builtin SPEC")
+    return None
 
 
 def _resolve_model(param: dict) -> ModelSpec:
@@ -107,22 +116,12 @@ def _contour_id(serial) -> str:
                     for site, mark in serial)
 
 
-def _write_run_manifest(out_dir: Path, command: str, params: dict,
-                        outputs: list) -> None:
-    write_manifest(out_dir / "manifest.json", {
-        "artifact": "peierls",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "outputs": outputs,
-    })
-
-
 # ---------------------------------------------------------------------------
-# Command implementations (callable from manifests)
+# Command implementations (callable from manifests); each returns its exit
+# code and the names of the files it wrote.
 # ---------------------------------------------------------------------------
 
-def _run_model_check(params: dict, out_dir: Path) -> int:
+def _run_model_check(params: dict, out_dir: Path) -> tuple:
     model = _resolve_model(params["model"])
     spectrum = potential_spectrum(model, budget=params.get("budget"))
     report = verify_ground_states(model)
@@ -144,7 +143,6 @@ def _run_model_check(params: dict, out_dir: Path) -> int:
         "status": "certified" if ok else "not-certified",
     }
     write_manifest(out_dir / "model_check.json", payload)
-    _write_run_manifest(out_dir, "model-check", params, ["model_check.json"])
     print(f"min cube energy : {spectrum.min_energy:.12g}")
     print(f"gap             : {spectrum.gap:.12g}")
     print(f"distinct values : {spectrum.value_count}"
@@ -155,10 +153,10 @@ def _run_model_check(params: dict, out_dir: Path) -> int:
     if not report.certified and report.offenders:
         print(f"  offending minimizing patterns (examples): {report.offenders[:3]}")
     print(f"sector symmetry : {'yes' if symmetric else 'NO'}")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return (EXIT_OK if ok else EXIT_VERIFICATION), ["model_check.json"]
 
 
-def _run_contours(params: dict, out_dir: Path) -> int:
+def _run_contours(params: dict, out_dir: Path) -> tuple:
     model = _resolve_model(params["model"])
     config, header = load_configuration(params["config"])
     for field, got, want in (("d", header.d, model.d), ("r", header.r, model.r),
@@ -186,19 +184,17 @@ def _run_contours(params: dict, out_dir: Path) -> int:
         "contours": records,
     }
     write_manifest(out_dir / "contours.json", payload)
-    _write_run_manifest(out_dir, "contours", params, ["contours.json"])
     for i, g in enumerate(found):
         marks = sorted({sub.mark for sub in g.subcontours})
         print(f"contour {i}: marks {marks}, interior {len(g.interior)} sites, "
               f"size {g.size}")
     print(f"boundary size {len(b)}, sum of contour sizes {total}, "
           f"decomposition {'ok' if payload['decomposition_ok'] else 'BROKEN'}")
-    if not payload["decomposition_ok"]:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return (EXIT_OK if payload["decomposition_ok"] else EXIT_VERIFICATION,
+            ["contours.json"])
 
 
-def _run_verify(params: dict, out_dir: Path) -> int:
+def _run_verify(params: dict, out_dir: Path) -> tuple:
     model = _resolve_model(params["model"])
     box = parse_box(params["box"])
     betas = params["betas"]
@@ -215,18 +211,16 @@ def _run_verify(params: dict, out_dir: Path) -> int:
     write_csv(out_dir / "peierls_bounds.csv",
               ["beta", "contour_id", "size", "probability", "bound", "slack"],
               rows)
-    _write_run_manifest(out_dir, "verify", params, ["peierls_bounds.csv"])
     for st in stats:
         worst = st.records[0].slack if st.records else float("inf")
         print(f"beta {st.beta:g}: {len(st.records)} realizable contours, "
               f"min slack {worst:.6g}, violations {len(st.violations)}")
     if violated:
         print(f"FAILED: {violated} contour(s) above the probability bound")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return (EXIT_VERIFICATION if violated else EXIT_OK), ["peierls_bounds.csv"]
 
 
-def _run_census(params: dict, out_dir: Path) -> int:
+def _run_census(params: dict, out_dir: Path) -> tuple:
     outputs = []
     report = subgraph_census(params["d"], params["r"], params["n_max"],
                              budget=params.get("budget") or 10_000_000)
@@ -248,11 +242,10 @@ def _run_census(params: dict, out_dir: Path) -> int:
         for rec in creport.records:
             if rec.count:
                 print(f"  contours n={rec.n}: {rec.count} <= {rec.bound:.6g}")
-    _write_run_manifest(out_dir, "census", params, outputs)
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def _run_sample(params: dict, out_dir: Path) -> int:
+def _run_sample(params: dict, out_dir: Path) -> tuple:
     model = _resolve_model(params["model"])
     box = parse_box(params["box"])
     site = tuple(params["site"]) if params.get("site") else box.center
@@ -274,13 +267,12 @@ def _run_sample(params: dict, out_dir: Path) -> int:
     ]
     write_csv(out_dir / "samples.csv",
               ["beta", "box", "observable", "estimate", "stderr", "seed"], rows)
-    _write_run_manifest(out_dir, "sample", params, ["samples.csv"])
     for name in sorted(result.means):
         print(f"{name}: {result.means[name]:.6g} +- {result.stderrs[name]:.2g}")
-    return EXIT_OK
+    return EXIT_OK, ["samples.csv"]
 
 
-def _run_coexist(params: dict, out_dir: Path) -> int:
+def _run_coexist(params: dict, out_dir: Path) -> tuple:
     model = _resolve_model(params["model"])
     if not check_symmetry(model):
         raise InputError("coexistence check refused: the model is not symmetric "
@@ -307,19 +299,7 @@ def _run_coexist(params: dict, out_dir: Path) -> int:
     write_csv(out_dir / "marginals.csv",
               ["box", "exterior", "beta", "site", "spin", "marginal"],
               marginal_rows)
-    _write_run_manifest(out_dir, "coexist", params,
-                        ["coexistence.csv", "marginals.csv"])
-    return EXIT_OK
-
-
-_RUNNERS = {
-    "model-check": _run_model_check,
-    "contours": _run_contours,
-    "verify": _run_verify,
-    "census": _run_census,
-    "sample": _run_sample,
-    "coexist": _run_coexist,
-}
+    return EXIT_OK, ["coexistence.csv", "marginals.csv"]
 
 
 def _is_int(x) -> bool:
@@ -345,45 +325,126 @@ def _list_of(check):
     return lambda x: isinstance(x, list) and all(map(check, x))
 
 
-# Manifest parameters each command reads, as (required, optional) maps from
-# name to value check.  Optional parameters may be missing or null.
-_PARAMS = {
-    "model-check": ({"model": _is_model}, {"budget": _is_int}),
-    "contours": ({"model": _is_model, "config": _is_str}, {}),
-    "verify": ({"model": _is_model, "box": _is_str,
-                "betas": _list_of(_is_number), "exterior": _is_int},
-               {"budget": _is_int, "workers": _is_int}),
-    "census": ({"d": _is_int, "r": _is_int, "n_max": _is_int},
-               {"budget": _is_int, "model": _is_model,
-                "site": _list_of(_is_int), "exterior": _is_int,
-                "max_interior": _is_int}),
-    "sample": ({"model": _is_model, "box": _is_str, "beta": _is_number,
-                "seed": _is_int, "samples": _is_int, "burn_in": _is_int},
-               {"thinning": _is_int, "kernel": _is_str, "exterior": _is_int,
-                "site": _list_of(_is_int)}),
-    "coexist": ({"model": _is_model, "boxes": _list_of(_is_str),
-                 "betas": _list_of(_is_number)},
-                {"site": _list_of(_is_int), "budget": _is_int,
-                 "workers": _is_int}),
+def _parse_boxes(text: str) -> list:
+    boxes = [box_spec(parse_box(b)) for b in text.split(";") if b.strip()]
+    if not boxes:
+        raise InputError("empty box list")
+    return boxes
+
+
+class _Param(NamedTuple):
+    """One command parameter, as the parser, the manifest and rerun see it.
+
+    ``name`` is the manifest key and ``check`` its value check.  The flag is
+    ``--name`` with dashes unless ``flag`` is given (a flag without dashes is
+    positional).  Argparse converts the value with ``type``; ``parse`` turns
+    text into the manifest value after parsing.  A manifest must carry a
+    ``required`` parameter with a valid value, and the command line must give
+    it unless it has a default.  A parameter that ``needs`` another is
+    written, and required in a manifest, only when that one is not null.
+    """
+
+    name: str
+    check: Callable
+    flag: str = ""
+    type: Callable | None = None
+    parse: Callable | None = None
+    default: object = None
+    required: bool = False
+    needs: str = ""
+    help: str | None = None
+    choices: tuple | None = None
+
+
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    params: tuple
+
+
+_MODEL = _Param("model", _is_model, required=True)
+_BOX = _Param("box", _is_str, parse=lambda text: box_spec(parse_box(text)),
+              required=True, help="box spec: 4x4 or 0..3,0..3")
+_BETAS = _Param("betas", _list_of(_is_number), parse=parse_betas, required=True,
+                help="comma list, e.g. 0.5,1,2")
+_SITE = _Param("site", _list_of(_is_int), parse=lambda text: list(parse_site(text)))
+_WORKERS = _Param("workers", _is_int, type=int, default=1)
+
+
+def _int_param(name, default=None, **kwargs) -> _Param:
+    return _Param(name, _is_int, type=int, default=default, **kwargs)
+
+
+_COMMANDS = {
+    "model-check": _Command(_run_model_check, "spectrum, certificate, symmetry", (
+        _MODEL, _int_param("budget"))),
+    "contours": _Command(_run_contours, "contour decomposition of a configuration", (
+        _MODEL,
+        _Param("config", _is_str, flag="config", required=True,
+               help="path to a configuration file"))),
+    "verify": _Command(_run_verify, "exact contour probability bounds", (
+        _MODEL, _BOX, _BETAS, _int_param("exterior", 1, required=True),
+        _int_param("budget", DEFAULT_BUDGET), _WORKERS)),
+    "census": _Command(_run_census, "counting bounds for cube sets and contours", (
+        _int_param("d", 2, required=True),
+        _int_param("r", 1, required=True),
+        _int_param("n_max", required=True),
+        _int_param("budget"),
+        _MODEL._replace(required=False),
+        _SITE._replace(default="0,0", required=True, needs="model",
+                       help="root site for contour counts"),
+        _int_param("exterior", 1, required=True, needs="model"),
+        _int_param("max_interior", needs="model"))),
+    "sample": _Command(_run_sample, "seeded single-site Monte Carlo", (
+        _MODEL, _BOX,
+        _Param("beta", _is_number, type=float, required=True),
+        _int_param("seed", 1, required=True),
+        _int_param("samples", flag="--sweeps", required=True,
+                   help="number of recorded sweeps after burn-in"),
+        _int_param("burn_in", 100, required=True),
+        _int_param("thinning", 1, flag="--thin"),
+        _Param("kernel", _is_str, default="heat-bath",
+               choices=("heat-bath", "metropolis")),
+        _int_param("exterior", 1),
+        _SITE._replace(help="observable site (default: center)"))),
+    "coexist": _Command(_run_coexist, "boundary-condition gap across boxes", (
+        _MODEL,
+        _Param("boxes", _list_of(_is_str), parse=_parse_boxes, required=True,
+               help="semicolon list of box specs, e.g. 3x3;4x4"),
+        _BETAS, _SITE,
+        _int_param("budget", DEFAULT_BUDGET), _WORKERS)),
 }
 
 
 def _check_params(command: str, params) -> None:
-    """Refuse manifest parameters that ``command`` cannot run with."""
+    """Refuse parameters that ``command`` cannot run with."""
     if not isinstance(params, dict):
         raise InputError(f"manifest params must be an object, got {params!r}")
-    required, optional = _PARAMS[command]
-    for name in required:
-        if name not in params:
-            raise InputError(f"{command} manifest lacks parameter {name!r}")
-    for name, check in {**optional, **required}.items():
-        value = params.get(name)
-        if (name in required or value is not None) and not check(value):
+    for p in _COMMANDS[command].params:
+        if p.needs and params.get(p.needs) is None:
+            continue
+        if (p.required or p.needs) and p.name not in params:
+            raise InputError(f"{command} lacks parameter {p.name!r}")
+        value = params.get(p.name)
+        if (p.required or value is not None) and not p.check(value):
             raise InputError(
-                f"{command} manifest parameter {name!r} has a bad value {value!r}")
-    if (command == "census" and params.get("model") is not None
-            and params.get("site") is None):
-        raise InputError("census manifest with a model lacks parameter 'site'")
+                f"{command} parameter {p.name!r} has a bad value {value!r}")
+
+
+def _params_from_args(args) -> dict:
+    """The manifest params of a parsed command line, text parsers applied."""
+    params = {}
+    for p in _COMMANDS[args.command].params:
+        if p.needs and params.get(p.needs) is None:
+            continue
+        value = getattr(args, p.name, None)
+        if p.name == "model":
+            value = _model_param(args, p.required)
+        elif p.parse is not None:
+            value = p.parse(value) if value else None
+        params[p.name] = value
+    _check_params(args.command, params)
+    return params
 
 
 def _run_rerun(manifest_path: str, out_dir: Path, workers: int | None) -> int:
@@ -391,26 +452,32 @@ def _run_rerun(manifest_path: str, out_dir: Path, workers: int | None) -> int:
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: a manifest must be a JSON object")
     command = manifest.get("command")
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise InputError(f"manifest has unknown command {command!r}")
     params = manifest.get("params", {})
     _check_params(command, params)
     params = dict(params)
     if workers is not None:
         params["workers"] = workers
-    return _RUNNERS[command](params, out_dir)
+    return _run(command, params, out_dir)
+
+
+def _run(command: str, params: dict, out_dir: Path) -> int:
+    """Run a command and write its manifest beside its outputs."""
+    code, outputs = _COMMANDS[command].run(params, out_dir)
+    write_manifest(out_dir / "manifest.json", {
+        "artifact": "peierls",
+        "version": __version__,
+        "command": command,
+        "params": params,
+        "outputs": outputs,
+    })
+    return code
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_model_args(sub):
-    sub.add_argument("--model", help="path to a model file")
-    sub.add_argument("--builtin",
-                     help="builtin model spec, e.g. potts:q=3,J=1 or ising:J=1 "
-                          "or potts-excited:q=3,s=2,penalty=1")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -419,111 +486,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetric lattice spin models.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for p in command.params:
+            flag = p.flag or "--" + p.name.replace("_", "-")
+            if p.name == "model":
+                sub.add_argument("--model", help="path to a model file")
+                sub.add_argument("--builtin",
+                                 help="builtin model spec, e.g. potts:q=3,J=1 or "
+                                      "ising:J=1 or potts-excited:q=3,s=2,penalty=1")
+            elif not flag.startswith("-"):
+                sub.add_argument(flag, help=p.help)
+            else:
+                sub.add_argument(flag, dest=p.name, type=p.type, default=p.default,
+                                 required=p.required and p.default is None,
+                                 choices=p.choices, help=p.help)
+        sub.add_argument("--out", default="peierls-out")
 
-    p = subs.add_parser("model-check", help="spectrum, certificate, symmetry")
-    _add_model_args(p)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("contours", help="contour decomposition of a configuration")
-    _add_model_args(p)
-    p.add_argument("config", help="path to a configuration file")
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("verify", help="exact contour probability bounds")
-    _add_model_args(p)
-    p.add_argument("--box", required=True, help="box spec: 4x4 or 0..3,0..3")
-    p.add_argument("--betas", required=True, help="comma list, e.g. 0.5,1,2")
-    p.add_argument("--exterior", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("census", help="counting bounds for cube sets and contours")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--budget", type=int, default=None)
-    _add_model_args(p)
-    p.add_argument("--site", default="0,0", help="root site for contour counts")
-    p.add_argument("--exterior", type=int, default=1)
-    p.add_argument("--max-interior", type=int, default=None, dest="max_interior")
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("sample", help="seeded single-site Monte Carlo")
-    _add_model_args(p)
-    p.add_argument("--box", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--sweeps", type=int, required=True,
-                   help="number of recorded sweeps after burn-in")
-    p.add_argument("--burn-in", type=int, default=100, dest="burn_in")
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--kernel", choices=["heat-bath", "metropolis"],
-                   default="heat-bath")
-    p.add_argument("--exterior", type=int, default=1)
-    p.add_argument("--site", default=None, help="observable site (default: center)")
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("coexist", help="boundary-condition gap across boxes")
-    _add_model_args(p)
-    p.add_argument("--boxes", required=True,
-                   help="semicolon list of box specs, e.g. 3x3;4x4")
-    p.add_argument("--betas", required=True)
-    p.add_argument("--site", default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="peierls-out")
-
-    p = subs.add_parser("rerun", help="re-execute a run manifest")
-    p.add_argument("manifest")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default="peierls-out")
-
+    sub = subs.add_parser("rerun", help="re-execute a run manifest")
+    sub.add_argument("manifest")
+    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--out", default="peierls-out")
     return parser
 
 
-def _params_from_args(args) -> dict:
-    cmd = args.command
-    if cmd == "model-check":
-        return {"model": _model_param(args), "budget": args.budget}
-    if cmd == "contours":
-        return {"model": _model_param(args), "config": str(args.config)}
-    if cmd == "verify":
-        return {"model": _model_param(args), "box": box_spec(parse_box(args.box)),
-                "betas": parse_betas(args.betas), "exterior": args.exterior,
-                "budget": args.budget, "workers": args.workers}
-    if cmd == "census":
-        params = {"d": args.d, "r": args.r, "n_max": args.n_max,
-                  "budget": args.budget}
-        if args.model or args.builtin:
-            params.update({"model": _model_param(args),
-                           "site": list(parse_site(args.site)),
-                           "exterior": args.exterior,
-                           "max_interior": args.max_interior})
-        else:
-            params["model"] = None
-        return params
-    if cmd == "sample":
-        return {"model": _model_param(args), "box": box_spec(parse_box(args.box)),
-                "beta": args.beta, "seed": args.seed, "samples": args.sweeps,
-                "burn_in": args.burn_in, "thinning": args.thin,
-                "kernel": args.kernel, "exterior": args.exterior,
-                "site": list(parse_site(args.site)) if args.site else None}
-    if cmd == "coexist":
-        boxes = [box_spec(parse_box(b)) for b in args.boxes.split(";") if b.strip()]
-        if not boxes:
-            raise InputError("empty box list")
-        return {"model": _model_param(args), "boxes": boxes,
-                "betas": parse_betas(args.betas),
-                "site": list(parse_site(args.site)) if args.site else None,
-                "budget": args.budget, "workers": args.workers}
-    raise InputError(f"unknown command {cmd!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
         try:
@@ -533,9 +521,8 @@ def main(argv=None) -> int:
                              f"{exc.strerror or exc}") from exc
         if args.command == "rerun":
             return _run_rerun(args.manifest, out_dir, args.workers)
-        params = _params_from_args(args)
-        return _RUNNERS[args.command](params, out_dir)
-    except InputError as exc:
+        return _run(args.command, _params_from_args(args), out_dir)
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
@@ -544,9 +531,10 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -24,12 +24,11 @@ implements this and validates its precondition structurally.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
-from .lattice import Box, Cube, Site, chebyshev_distance, cubes_meeting_box
+from .lattice import Box, Site, ball_offsets, chebyshev_distance, cubes_meeting_box
 from .model import ModelSpec, _tables, require_certified, _validate_config
 
 
@@ -139,11 +138,9 @@ class _BoxIndex:
         self.sites = box.sites()
         self.n = len(self.sites)
         index = {site: k for k, site in enumerate(self.sites)}
-        d = box.dimension
 
         def neighbors(radius):
-            offs = [o for o in itertools.product(range(-radius, radius + 1), repeat=d)
-                    if any(c != 0 for c in o)]
+            offs = ball_offsets(box.dimension, radius)
             table = []
             for site in self.sites:
                 table.append(tuple(
@@ -331,13 +328,6 @@ def contours(config: Configuration, model: ModelSpec) -> list:
         return []
 
     contour_labels = _label_components(dev, bx.ball)
-    sub_labels = _label_components(dev, bx.moore,
-                                   restrict=lambda a, b: spins[a] == spins[b])
-
-    sub_groups = {}
-    for k, c in sub_labels.items():
-        sub_groups.setdefault(c, []).append(k)
-
     codes = _cube_codes_row(digits, ext - 1, grid)
     improper = grid.improper_list
     imp_per_contour = {}
@@ -349,13 +339,12 @@ def contours(config: Configuration, model: ModelSpec) -> list:
                     break
 
     per_contour_subs = {}
-    for ks in sub_groups.values():
-        sub = Subcontour(frozenset(bx.sites[k] for k in ks), spins[ks[0]])
-        per_contour_subs.setdefault(contour_labels[ks[0]], []).append(sub)
+    for sub in subcontours(config):  # ordered by smallest site
+        k = config.box.index_of(sub.min_site)
+        per_contour_subs.setdefault(contour_labels[k], []).append(sub)
 
     out = []
     for c, subs in per_contour_subs.items():
-        subs.sort(key=lambda sc: sc.min_site)
         interior = frozenset().union(*(sc.sites for sc in subs))
         imp = frozenset(imp_per_contour.get(c, ()))
         out.append(Contour(subcontours=tuple(subs), interior=interior,

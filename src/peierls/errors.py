@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The command line maps these onto exit codes: InputError -> 2,
-CapacityError -> 3, VerificationError -> 1.
+CapacityError -> 3, VerificationError -> 1, and any other exception -> 4.
 """
 
 

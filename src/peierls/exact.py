@@ -16,16 +16,17 @@ count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .contours import Configuration, Contour, _cube_codes_row, _grid, _light_contours
+from .contours import Configuration, Contour, _grid, _light_contours
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site
-from .model import ModelSpec, _tables, require_certified
+from .model import ModelSpec, require_certified
 
 DEFAULT_BUDGET = 1 << 26
 CHUNK = 1 << 14
@@ -102,6 +103,14 @@ def _check_budget(count: int, budget: int | None):
             count=count)
 
 
+def _check_exterior(model: ModelSpec, exterior: int):
+    """The model's certificate, once the exterior spin is known to be in 1..s."""
+    report = require_certified(model)
+    if not 1 <= exterior <= model.s:
+        raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
+    return report
+
+
 def _chunk_ranges(count: int):
     return [(start, min(start + CHUNK, count)) for start in range(0, count, CHUNK)]
 
@@ -129,8 +138,14 @@ def _chunk_energies(model: ModelSpec, box: Box, exterior: int,
     return digits, codes, energies
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: no more than the tasks or the CPUs."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def _run_chunks(task, argses: Sequence[tuple], workers: int) -> list:
-    if workers <= 1 or len(argses) <= 1:
+    workers = _pool_size(workers, len(argses))
+    if workers == 1:
         return [task(a) for a in argses]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, argses))
@@ -170,6 +185,7 @@ def _dist_task(args):
 def enumerate_distribution(ens: FiniteVolumeEnsemble, budget: int | None = None,
                            workers: int = 1) -> DistributionSummary:
     """Exact partition sum and single-site marginals by full enumeration."""
+    require_certified(ens.model)
     count = ens.config_count
     _check_budget(count, budget)
     argses = [(ens.model, ens.box, ens.exterior, ens.beta, a, b)
@@ -227,7 +243,7 @@ def marginal_trend(model: ModelSpec, box: Box, x: Site, i: int, j: int,
         raise InputError("trend is defined for a spin different from the exterior")
     if not 1 <= j <= model.q:
         raise InputError(f"spin {j} outside 1..{model.q}")
-    require_certified(model)
+    _check_exterior(model, i)
     dists = _site_marginals(model, box, i, x, betas, budget, workers)
     return [float(dist[j - 1]) for dist in dists]
 
@@ -308,7 +324,7 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     Returns one ContourStatistics per beta with records sorted by slack
     against exp(-beta * gap * size), tightest first.
     """
-    report = require_certified(model)
+    report = _check_exterior(model, exterior)
     count = model.q ** box.size
     _check_budget(count, budget)
     argses = [(model, box, exterior, tuple(betas), a, b)
@@ -425,12 +441,14 @@ def dlr_consistency(ens: FiniteVolumeEnsemble, subbox: Box,
     pure rounding and should sit below 1e-10.
     """
     box, model = ens.box, ens.model
+    require_certified(model)
     if not (box.contains(subbox.lower) and box.contains(subbox.upper)):
         raise InputError(f"subbox {subbox.lower}..{subbox.upper} not inside the box")
     count = ens.config_count
     _check_budget(count, budget)
     q = model.q
-    tables = _tables(model)
+    grid = _grid(model, box)
+    u, u_min = grid.u_list, grid.tables.u_min
 
     sites = box.sites()
     sub_flat = [k for k, site in enumerate(sites) if subbox.contains(site)]
@@ -456,23 +474,10 @@ def dlr_consistency(ens: FiniteVolumeEnsemble, subbox: Box,
     ann_weight /= z
 
     # conditional distributions recomputed from cube energies
-    sub_sites = subbox.sites()
-    cubes = [
-        (sid, pos, ext) for sid, pos, ext in
-        zip(_grid(model, box).bx.cube_site_idx,
-            _grid(model, box).bx.cube_positions,
-            _grid(model, box).bx.cube_ext_positions)
-    ]
-    sub_set = set(sub_flat)
-    touching = []
-    for sid, pos, ext in cubes:
-        if any(k in sub_set for k in sid):
-            touching.append((sid, pos, ext))
-
-    powers = tables.powers
-    u = tables.u
     sub_index = {k: j for j, k in enumerate(sub_flat)}
     ann_index = {k: j for j, k in enumerate(ann_flat)}
+    touching = [term for term in grid.cube_terms
+                if any(k in sub_index for k in term[0])]
     ext_digit = ens.exterior - 1
 
     mixture = np.zeros(q ** n_sub, dtype=np.float64)
@@ -483,14 +488,14 @@ def dlr_consistency(ens: FiniteVolumeEnsemble, subbox: Box,
         for sub_code in range(q ** n_sub):
             sub_digits = [(sub_code // q ** j) % q for j in range(n_sub)]
             e = 0.0
-            for sid, pos, ext in touching:
-                code = ext_digit * sum(powers[p] for p in ext)
-                for k, p in zip(sid, pos):
+            for sid, pows, ext_pow in touching:
+                code = ext_digit * ext_pow
+                for k, p in zip(sid, pows):
                     if k in sub_index:
-                        code += sub_digits[sub_index[k]] * powers[p]
+                        code += sub_digits[sub_index[k]] * p
                     else:
-                        code += ann_digits[ann_index[k]] * powers[p]
-                e += float(u[code]) - tables.u_min
+                        code += ann_digits[ann_index[k]] * p
+                e += u[code] - u_min
             cond[sub_code] = math.exp(-ens.beta * e)
         cond /= cond.sum()
         mixture += w_ann * cond

@@ -130,6 +130,17 @@ def _box_sites(box: Box) -> tuple:
     return tuple(itertools.product(*ranges))
 
 
+@functools.lru_cache(maxsize=None)
+def ball_offsets(d: int, r: int) -> tuple:
+    """The nonzero offsets of Chebyshev length <= r, in lexicographic order.
+
+    Two range-r cubes intersect iff their anchors differ by such an offset,
+    so there are (2r+1)^d - 1 of them: the degree of the cube graph.
+    """
+    return tuple(off for off in itertools.product(range(-r, r + 1), repeat=d)
+                 if any(off))
+
+
 def cubes_meeting(sites: Iterable[Site], r: int) -> set:
     """All cubes of range r that intersect the given finite nonempty set.
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, CertificationError, InputError
-from .lattice import Box, Site, chebyshev_distance, containing_cube_count
+from .lattice import Site, containing_cube_count
 
 VALUE_TOL = 1e-9     # clustering tolerance for distinct cube-energy values
 SYMMETRY_TOL = 1e-12
@@ -342,11 +342,6 @@ class CubePotential:
         return self._t.u
 
 
-def build_cube_potential(model: ModelSpec) -> CubePotential:
-    """Compile the per-cube energy for a model (term shapes must fit in a cube)."""
-    return CubePotential(model)
-
-
 # ---------------------------------------------------------------------------
 # Spectrum, certificates, symmetry
 # ---------------------------------------------------------------------------
@@ -471,20 +466,6 @@ def permute_spins(g: Sequence[int], spins: Iterable[int], s: int) -> tuple:
 # Conditional and relative energies on finite boxes
 # ---------------------------------------------------------------------------
 
-def _cube_codes(config, model: ModelSpec):
-    """Yield the pattern code of every cube meeting the configuration's box."""
-    from .contours import _grid  # local import; contours depends on model
-
-    g = _grid(model, config.box)
-    ext = config.exterior - 1
-    spins = config.spins
-    for site_idx, site_pows, ext_pow in g.cube_terms:
-        code = ext * ext_pow
-        for k, p in zip(site_idx, site_pows):
-            code += (spins[k] - 1) * p
-        yield code
-
-
 def _validate_config(config, model: ModelSpec, exterior_in_sector: bool = True):
     if config.box.dimension != model.d:
         raise InputError(
@@ -505,14 +486,14 @@ def conditional_hamiltonian(config, model: ModelSpec) -> float:
     outside the box as the exterior spin.  Nonnegative; zero exactly when
     every cube pattern is minimal.
     """
+    from .contours import _cube_codes_row, _grid  # contours depends on model
+
     _validate_config(config, model)
     t = _tables(model)
-    u = t.u
-    total = math.fsum(float(u[code]) for code in _cube_codes(config, model))
-    n_cubes = 1
-    for l, up in zip(config.box.lower, config.box.upper):
-        n_cubes *= (up - l + 1) + model.r
-    return total - n_cubes * t.u_min
+    codes = _cube_codes_row([v - 1 for v in config.spins], config.exterior - 1,
+                            _grid(model, config.box))
+    total = math.fsum(float(t.u[code]) for code in codes)
+    return total - len(codes) * t.u_min
 
 
 def relative_hamiltonian(config, phi: int, model: ModelSpec) -> float:

@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from peierls import (Box, CapacityError, Configuration, CubeGraph,
-                     VerificationError, contour_roundtrip_mismatches, contours,
-                     count_rooted_connected_subgraphs, count_rooted_contours,
-                     max_degree, potts_model, rooted_contour_counts,
-                     rooted_subgraph_counts, subgraph_census,
-                     verify_connector_bound)
-from peierls.census import (ConnectorReport, _anchor_graph, _components,
-                            _restrict_adj, _steiner_min_vertices)
+from peierls import (Box, CapacityError, Configuration, InputError,
+                     VerificationError, chebyshev_distance,
+                     contour_roundtrip_mismatches, contours, max_degree,
+                     potts_model, rooted_contour_counts, rooted_subgraph_counts,
+                     subgraph_census, verify_connector_bound)
+from peierls.census import ConnectorReport, _anchor_graph, _steiner_min_vertices
+from peierls.contours import _label_components
 from peierls.exact import full_sweep
 
 
@@ -21,7 +20,6 @@ from peierls.exact import full_sweep
 def brute_rooted_sets(d, r, n):
     """Count connected anchor sets of size n containing the origin by scanning
     all subsets of a window (slow, obviously correct)."""
-    graph = CubeGraph(d, r)
     root = (0,) * d
     window = [v for v in itertools.product(range(-(n - 1) * r, (n - 1) * r + 1),
                                            repeat=d) if v != root]
@@ -33,8 +31,8 @@ def brute_rooted_sets(d, r, n):
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            for u in graph.neighbors(v):
-                if u in vertices and u not in seen:
+            for u in vertices:
+                if u not in seen and chebyshev_distance(u, v) <= r:
                     seen.add(u)
                     frontier.append(u)
         if seen == vertices:
@@ -95,9 +93,15 @@ def test_rooted_counts_other_geometry():
 
 
 def test_count_rooted_connected_subgraphs_bound_and_budget():
-    assert count_rooted_connected_subgraphs(2, 1, 3) == 60
+    assert rooted_subgraph_counts(2, 1, 3)[3] == 60
     with pytest.raises(CapacityError):
-        count_rooted_connected_subgraphs(2, 1, 6, budget=100)
+        rooted_subgraph_counts(2, 1, 6, budget=100)
+
+
+@pytest.mark.parametrize("d, r, n_max", [(0, 1, 3), (2, 0, 3), (2, 1, 0)])
+def test_rooted_subgraph_counts_refuse_sizes_below_one(d, r, n_max):
+    with pytest.raises(InputError):
+        rooted_subgraph_counts(d, r, n_max)
 
 
 def test_subgraph_census_report():
@@ -111,10 +115,10 @@ def test_subgraph_census_report():
 
 def test_contour_counts_examples(ising, potts3):
     # a single site is the smallest interior: size (r+1)^d = 4, one mark for q=2
-    assert count_rooted_contours(ising, (0, 0), 4) == 1
-    assert count_rooted_contours(potts3, (0, 0), 4) == 2
+    assert rooted_contour_counts(ising, (0, 0), 4).records[3].count == 1
+    assert rooted_contour_counts(potts3, (0, 0), 4).records[3].count == 2
     # size 5 is not realizable
-    assert count_rooted_contours(ising, (0, 0), 5) == 0
+    assert rooted_contour_counts(ising, (0, 0), 5).records[4].count == 0
     report = rooted_contour_counts(ising, (0, 0), 8)
     got = {rec.n: rec.count for rec in report.records}
     assert got[4] == 1 and got[6] == 4 and got[7] == 4
@@ -163,8 +167,8 @@ def brute_min_connector(anchors, r):
     for extra in range(len(others) + 1):
         for added in itertools.combinations(others, extra):
             vertices = set(terminals) | set(added)
-            comps = _components(vertices, _restrict_adj(adj, vertices))
-            if len(comps) == 1:
+            labels = _label_components(sorted(vertices), adj)
+            if max(labels.values()) == 0:
                 return len(vertices)
     raise AssertionError("hull graph disconnected")
 

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from peierls import Box, Configuration, potts_model
+from peierls import cli
 from peierls.cli import main, parse_box, parse_site
 from peierls.io import load_manifest, save_configuration, save_model
 
@@ -162,3 +164,80 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
     assert main(["model-check", "--builtin", "ising",
                  "--out", str(blocker / "run")]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--n-max", "0"],
+    ["census", "--n-max", "3", "--r", "0"],
+    ["census", "--n-max", "3", "--d", "0"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
+     "--exterior", "5"],
+])
+def test_out_of_range_input_exits_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_stray_exception_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "potential_spectrum", broken)
+    assert main(["model-check", "--builtin", "ising",
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "IndexError" in err
+
+
+# Command lines whose manifest.json bytes are pinned in tests/manifests/, once
+# with defaults only and once with every option set; {tmp} stands for the
+# test's tmp_path, where model.txt and config.txt are written.
+MANIFEST_CASES = {
+    "model-check": ["model-check", "--builtin", "ising"],
+    "model-check-all": ["model-check", "--model", "{tmp}/model.txt",
+                        "--budget", "64"],
+    "contours": ["contours", "--builtin", "potts:q=2", "{tmp}/config.txt"],
+    "contours-all": ["contours", "--model", "{tmp}/model.txt",
+                     "{tmp}/config.txt"],
+    "verify": ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1"],
+    "verify-all": ["verify", "--model", "{tmp}/model.txt", "--box",
+                   "1..2,0..1", "--betas", "0.5,2", "--exterior", "2",
+                   "--budget", "4096", "--workers", "2"],
+    "census": ["census", "--n-max", "3"],
+    "census-all": ["census", "--n-max", "2", "--d", "3", "--r", "1",
+                   "--budget", "100000"],
+    "census-model": ["census", "--n-max", "4", "--builtin", "ising"],
+    "census-model-all": ["census", "--n-max", "4", "--d", "2", "--r", "1",
+                         "--budget", "100000", "--model", "{tmp}/model.txt",
+                         "--site", "1,-1", "--exterior", "2",
+                         "--max-interior", "2"],
+    "sample": ["sample", "--builtin", "ising", "--box", "2x2", "--beta", "1",
+               "--sweeps", "10"],
+    "sample-all": ["sample", "--model", "{tmp}/model.txt", "--box", "0..1,1..2",
+                   "--beta", "0.5", "--seed", "3", "--sweeps", "10",
+                   "--burn-in", "5", "--thin", "2", "--kernel", "metropolis",
+                   "--exterior", "2", "--site", "1,1"],
+    "coexist": ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "1"],
+    "coexist-all": ["coexist", "--model", "{tmp}/model.txt", "--boxes",
+                    "2x2;0..1,0..2", "--betas", "0.5,1", "--site", "0,1",
+                    "--budget", "4096", "--workers", "2"],
+}
+
+
+@pytest.mark.parametrize("via", ["command-line", "rerun"])
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifests_are_pinned(tmp_path, case, via):
+    model = potts_model(q=2)
+    save_model(model, tmp_path / "model.txt")
+    config = Configuration.constant(Box((0, 0), (2, 2)), 1).replace({(1, 1): 2})
+    save_configuration(config, model, tmp_path / "config.txt")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in MANIFEST_CASES[case]]
+    out = tmp_path / "first"
+    assert main(argv + ["--out", str(out)]) == 0
+    if via == "rerun":
+        assert main(["rerun", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "second")]) == 0
+        out = tmp_path / "second"
+    text = (out / "manifest.json").read_text().replace(str(tmp_path), "{tmp}")
+    pinned = Path(__file__).parent / "manifests" / f"{case}.json"
+    assert text == pinned.read_text()

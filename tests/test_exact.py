@@ -1,16 +1,17 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from peierls import (Box, CapacityError, Configuration, FiniteVolumeEnsemble,
-                     InputError, VerificationError, coexistence_gap,
+from peierls import (Box, CapacityError, CertificationError, Configuration,
+                     FiniteVolumeEnsemble, InputError, VerificationError, coexistence_gap,
                      conditional_hamiltonian, config_from_index,
                      contour_probability, contours, dlr_consistency,
                      enumerate_distribution, index_of_config, marginal_trend,
                      potts_model, verify_peierls_bound)
-from peierls.exact import contour_statistics, full_sweep
+from peierls.exact import _pool_size, contour_statistics, full_sweep
 from peierls.model import _tables
 
 from conftest import single_flip
@@ -203,3 +204,36 @@ def test_workers_agree_with_sequential(ising):
     p2 = {rec.contour: rec.probability for rec in s2.records}
     for key, val in p1.items():
         assert p2[key] == pytest.approx(val, abs=1e-12)
+
+
+def test_uncertified_model_is_refused_before_summing():
+    # antiferromagnetic Potts: the constants are not the ground states, so
+    # relative energies go negative and the weights overflow at large beta
+    model = potts_model(q=2, J=-1.0)
+    ens = FiniteVolumeEnsemble(box=Box((0, 0), (2, 2)), exterior=1, beta=2000.0,
+                               model=model)
+    with pytest.raises(CertificationError):
+        enumerate_distribution(ens)
+    with pytest.raises(CertificationError):
+        dlr_consistency(ens, Box((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("exterior", [0, 3])
+def test_exterior_outside_the_sector_is_refused(ising, exterior):
+    box = Box((0, 0), (1, 1))
+    with pytest.raises(InputError):
+        contour_statistics(ising, box, exterior, [1.0])
+    with pytest.raises(InputError):
+        marginal_trend(ising, box, (0, 0), exterior, 2, [1.0])
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(1000, 10) == 4
+    assert _pool_size(3, 10) == 3
+    assert _pool_size(8, 2) == 2
+    assert _pool_size(0, 5) == 1
+    assert _pool_size(-2, 5) == 1
+    assert _pool_size(8, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 5) == 1

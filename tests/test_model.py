@@ -6,7 +6,7 @@ import pytest
 
 from peierls import (Box, CapacityError, CertificationError, Configuration,
                      InputError, InteractionTerm, ModelSpec, boundary,
-                     build_cube_potential, check_symmetry,
+                     CubePotential, check_symmetry,
                      conditional_hamiltonian, excited_potts_model, ising_model,
                      permute_spins, potential_spectrum, potts_model,
                      relative_hamiltonian, verify_ground_states, verify_peierls)
@@ -44,13 +44,13 @@ def all_cube_patterns(q, d=2, r=1):
 
 
 def test_cube_potential_matches_brute_force_oracle(ising):
-    pot = build_cube_potential(ising)
+    pot = CubePotential(ising)
     for grid, values in all_cube_patterns(2):
         assert pot.value(values) == pytest.approx(oracle_potts_cube_energy(grid), abs=1e-12)
 
 
 def test_cube_potential_examples(ising):
-    pot = build_cube_potential(ising)
+    pot = CubePotential(ising)
     assert pot.value((1, 1, 1, 1)) == pytest.approx(-4.0)
     assert pot.value((2, 2, 2, 2)) == pytest.approx(-4.0)
     assert pot.value((2, 1, 1, 1)) == pytest.approx(-2.0)  # one deviating spin
@@ -59,7 +59,7 @@ def test_cube_potential_examples(ising):
 
 def test_cube_potential_empty_model_is_zero():
     empty = ModelSpec(d=2, r=1, q=2, s=2)
-    pot = build_cube_potential(empty)
+    pot = CubePotential(empty)
     for _, values in all_cube_patterns(2):
         assert pot.value(values) == 0.0
 
@@ -112,7 +112,7 @@ def test_ground_state_certificates(ising, potts3):
         assert rep.constant_minimizers == tuple(range(1, s + 1))
     # oracle for q=3: the 81-pattern brute force has exactly 3 minimizers
     m3 = potts_model(q=3)
-    pot = build_cube_potential(m3)
+    pot = CubePotential(m3)
     best = min(pot.value(v) for _, v in all_cube_patterns(3))
     minimizers = [v for _, v in all_cube_patterns(3) if pot.value(v) <= best + 1e-9]
     assert minimizers == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)]
@@ -129,7 +129,7 @@ def test_excited_model_certified():
     rep = verify_ground_states(m)
     assert rep.certified and rep.ground_spins == (1, 2)
     # the third constant is strictly above the minimum
-    pot = build_cube_potential(m)
+    pot = CubePotential(m)
     assert pot.constant(3) > pot.constant(1)
 
 
@@ -178,7 +178,7 @@ def test_energy_additivity_over_improper_cubes(ising):
     # the conditional energy equals the sum of (u - u_min) over improper cubes
     box = Box((0, 0), (3, 3))
     t = _tables(ising)
-    pot = build_cube_potential(ising)
+    pot = CubePotential(ising)
     for config in random_configs(box, 2, 30, seed=4):
         total = 0.0
         for cube in boundary(config, ising).improper_cubes:
