@@ -172,8 +172,9 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
     ["census", "--n-max", "3", "--d", "0"],
     ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
      "--exterior", "5"],
+    ["verify", "--builtin", "ising", "--box", "2y2", "--betas", "1"],
 ])
-def test_out_of_range_input_exits_two(tmp_path, capsys, argv):
+def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "input error" in capsys.readouterr().err
 
