@@ -108,6 +108,8 @@ def rooted_subgraph_counts(d: int, r: int, n_max: int,
         raise InputError(f"need d, r and n_max >= 1, got d={d}, r={r}, n_max={n_max}")
     if root is None:
         root = (0,) * d
+    if len(root) != d:
+        raise InputError(f"root {root} has dimension {len(root)}, need {d}")
     counts = [0] * (n_max + 1)
 
     def visit(size, _members):
@@ -182,6 +184,8 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     site set never involves outside sites, so this is a plain filter).
     """
     d, r, q, s = model.d, model.r, model.q, model.s
+    if len(x) != d:
+        raise InputError(f"site {x} has dimension {len(x)}, need {d}")
     marks_allowed = [v for v in range(1, q + 1) if v != exterior]
     cube_volume = (r + 1) ** d
     ball = CubeGraph(d, r).neighbors

@@ -27,6 +27,8 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError
 from .lattice import Box, Site, ball_offsets, chebyshev_distance, cubes_meeting_box
 from .model import ModelSpec, _tables, require_certified, _validate_config
@@ -127,10 +129,16 @@ class Boundary:
 # ---------------------------------------------------------------------------
 
 class _BoxIndex:
-    """Flat-array view of a box: site list, adjacency lists, cube incidences."""
+    """Flat-array view of a box: site list, adjacency lists, cube index.
+
+    ``cube_index`` has one row per cube meeting the box and one column per
+    cube site, in the canonical cube site order; an entry is the flat index of
+    that site, or n for a site outside the box, which reads the exterior spin.
+    ``cube_site_idx`` lists each cube's sites inside the box.
+    """
 
     __slots__ = ("box", "r", "sites", "n", "moore", "ball", "cubes",
-                 "cube_site_idx", "cube_positions", "cube_ext_positions")
+                 "cube_index", "cube_site_idx")
 
     def __init__(self, box: Box, r: int):
         self.box = box
@@ -151,62 +159,53 @@ class _BoxIndex:
         self.moore = neighbors(1)
         self.ball = self.moore if r == 1 else neighbors(r)
         self.cubes = cubes_meeting_box(box, r)
-        site_idx, positions, ext_positions = [], [], []
-        for cube in self.cubes:
-            sid, pos, ext = [], [], []
-            for p, site in enumerate(cube.sites()):
-                k = index.get(site)
-                if k is None:
-                    ext.append(p)
-                else:
-                    sid.append(k)
-                    pos.append(p)
-            site_idx.append(tuple(sid))
-            positions.append(tuple(pos))
-            ext_positions.append(tuple(ext))
-        self.cube_site_idx = tuple(site_idx)
-        self.cube_positions = tuple(positions)
-        self.cube_ext_positions = tuple(ext_positions)
+        rows = [[index.get(site, self.n) for site in cube.sites()]
+                for cube in self.cubes]
+        self.cube_index = np.array(rows, dtype=np.int64)
+        self.cube_index.flags.writeable = False
+        self.cube_site_idx = tuple(tuple(k for k in row if k < self.n)
+                                   for row in rows)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _box_index(box: Box, r: int) -> _BoxIndex:
     return _BoxIndex(box, r)
 
 
 class _Grid:
-    """A box index specialized to one model: pattern powers and energy tables."""
+    """A box index specialized to one model: energy tables and cube codes."""
 
-    __slots__ = ("bx", "model", "tables", "cube_terms", "u_list", "improper_list")
+    __slots__ = ("bx", "model", "tables", "powers", "u_list", "improper_list")
 
     def __init__(self, model: ModelSpec, box: Box):
+        if box.dimension != model.d:
+            raise InputError(
+                f"box has dimension {box.dimension}, model has {model.d}")
         self.bx = _box_index(box, model.r)
         self.model = model
         self.tables = _tables(model)
-        powers = self.tables.powers
-        terms = []
-        for sid, pos, ext in zip(self.bx.cube_site_idx, self.bx.cube_positions,
-                                 self.bx.cube_ext_positions):
-            terms.append((sid, tuple(powers[p] for p in pos),
-                          sum(powers[p] for p in ext)))
-        self.cube_terms = tuple(terms)
+        self.powers = np.array(self.tables.powers, dtype=np.int64)
         self.u_list = self.tables.u.tolist()
         self.improper_list = self.tables.improper.tolist()
 
+    def codes(self, digits, ext_digit: int) -> np.ndarray:
+        """Pattern codes of every cube meeting the box, for each digit row.
 
-@functools.lru_cache(maxsize=None)
+        The last axis of ``digits`` holds one base-q digit (spin minus one)
+        per flat site; sites outside the box read ``ext_digit``.  Codes are
+        linear in the digits and ``ext_digit`` together.  The gather takes
+        (r+1)^d integers per cube and row, so pass large arrays in blocks.
+        """
+        digits = np.asarray(digits, dtype=np.int64)
+        padded = np.append(digits, np.full(digits.shape[:-1] + (1,), ext_digit), -1)
+        return padded[..., self.bx.cube_index] @ self.powers
+
+
+# A grid holds its model's energy table as a Python list, several times the
+# size of the table itself.
+@functools.lru_cache(maxsize=16)
 def _grid(model: ModelSpec, box: Box) -> _Grid:
     return _Grid(model, box)
-
-
-def _cube_codes_row(digits: Sequence[int], ext_digit: int, grid: _Grid) -> list:
-    codes = []
-    for sid, pows, ext_pow in grid.cube_terms:
-        code = ext_digit * ext_pow
-        for k, p in zip(sid, pows):
-            code += digits[k] * p
-        codes.append(code)
-    return codes
 
 
 def _label_components(members: Sequence[int], adjacency, restrict=None) -> dict:
@@ -302,8 +301,7 @@ def boundary(config: Configuration, model: ModelSpec) -> Boundary:
     require_certified(model)
     _validate_config(config, model)
     grid = _grid(model, config.box)
-    digits = [v - 1 for v in config.spins]
-    codes = _cube_codes_row(digits, config.exterior - 1, grid)
+    codes = grid.codes([v - 1 for v in config.spins], config.exterior - 1).tolist()
     improper = grid.improper_list
     cubes = grid.bx.cubes
     return Boundary(frozenset(
@@ -322,13 +320,12 @@ def contours(config: Configuration, model: ModelSpec) -> list:
     bx = grid.bx
     spins = config.spins
     ext = config.exterior
-    digits = [v - 1 for v in spins]
     dev = [k for k in range(bx.n) if spins[k] != ext]
     if not dev:
         return []
 
     contour_labels = _label_components(dev, bx.ball)
-    codes = _cube_codes_row(digits, ext - 1, grid)
+    codes = grid.codes([v - 1 for v in spins], ext - 1).tolist()
     improper = grid.improper_list
     imp_per_contour = {}
     for j, code in enumerate(codes):

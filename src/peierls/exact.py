@@ -1,12 +1,15 @@
 """Exact finite-volume Gibbs distributions by full enumeration.
 
 Configurations with a fixed exterior spin are indexed 0 .. q^|box| - 1, the
-digit of flat site k in base q being its spin minus one.  One sweep decodes
-index chunks with numpy, assembles per-cube pattern codes, and reads cube
-energies from the model table; relative energies are nonnegative with the
-all-exterior configuration at zero, so raw Boltzmann weights never overflow
-and partition sums stay in linear arithmetic (the maximal weight is one,
-which is exactly the max-shifted log-domain form).
+digit of flat site k in base q being its spin minus one.  A sweep runs over
+chunks of q^a indices, a being the largest integer with q^a <= CHUNK (and at
+most the site count): a chunk fixes the high digits, and its low a digits,
+with their share of every cube's pattern code, come from a low table built
+once per box.  Cube energies are read from the model table.  Relative
+energies are nonnegative with the all-exterior configuration at zero, so raw
+Boltzmann weights never overflow and partition sums stay in linear
+arithmetic (the maximal weight is one, which is exactly the max-shifted
+log-domain form).
 
 Chunks are processed independently, optionally across worker processes, and
 merged in fixed chunk order, so results are bit-identical for any worker
@@ -15,6 +18,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,10 +30,12 @@ import numpy as np
 from .contours import Configuration, Contour, _grid, _light_contours
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site
-from .model import ModelSpec, require_certified
+from .model import ModelSpec, digits_of, require_certified
 
 DEFAULT_BUDGET = 1 << 26
+MAX_BUDGET = 1 << 62  # sweep indices and their digits are int64
 CHUNK = 1 << 14
+_LOW_BLOCK = 1 << 10  # rows per _Grid.codes call while building the low table
 BOUND_TOL = 1e-12
 
 
@@ -97,6 +103,8 @@ class ContourStatistics:
 
 def _check_budget(count: int, budget: int | None):
     cap = DEFAULT_BUDGET if budget is None else budget
+    if cap > MAX_BUDGET:
+        raise InputError(f"budget {cap} is above the largest sweep, 2^62 configurations")
     if count > cap:
         raise CapacityError(
             f"enumeration over {count} configurations exceeds the budget {cap}",
@@ -111,30 +119,48 @@ def _check_exterior(model: ModelSpec, exterior: int):
     return report
 
 
-def _chunk_ranges(count: int):
-    return [(start, min(start + CHUNK, count)) for start in range(0, count, CHUNK)]
+def _low_digit_count(q: int, n: int) -> int:
+    """a: the largest a <= n with q^a <= CHUNK."""
+    return max(a for a in range(n + 1) if q ** a <= CHUNK)
 
 
-def _decode_digits(q: int, n_sites: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    powers = q ** np.arange(n_sites, dtype=np.int64)
-    return ((idx[:, None] // powers) % q).astype(np.int64)
+def _chunk_ranges(q: int, n: int):
+    """(start, stop) of every chunk of the q^n indices, lazily, in order."""
+    step = q ** _low_digit_count(q, n)
+    return ((start, start + step) for start in range(0, q ** n, step))
+
+
+@functools.lru_cache(maxsize=1)
+def _low_table(model: ModelSpec, box: Box) -> tuple:
+    """(digits, codes) of every index below q^a: its digits on all sites (zero
+    above the low a) and their cube codes with a zero exterior digit.  Only
+    the last box's table is kept."""
+    grid = _grid(model, box)
+    rows = model.q ** _low_digit_count(model.q, box.size)
+    small = np.min_scalar_type  # the table stays alive beside every chunk
+    digits = digits_of(np.arange(rows), model.q, box.size).astype(small(model.q - 1))
+    codes = np.empty((rows, len(grid.bx.cubes)), dtype=small(model.pattern_count - 1))
+    for start in range(0, rows, _LOW_BLOCK):
+        block = slice(start, start + _LOW_BLOCK)
+        codes[block] = grid.codes(digits[block], 0)
+    return digits, codes
 
 
 def _chunk_energies(model: ModelSpec, box: Box, exterior: int,
                     start: int, stop: int):
-    """Decode one index chunk; return (digits, cube codes, relative energies)."""
+    """Return (digits, cube codes, relative energies) of the indices
+    start..stop-1, which lie in one chunk of ``_chunk_ranges``."""
     grid = _grid(model, box)
-    digits = _decode_digits(model.q, box.size, start, stop)
-    m = stop - start
-    codes = np.empty((m, len(grid.cube_terms)), dtype=np.int64)
-    for j, (sid, pows, ext_pow) in enumerate(grid.cube_terms):
-        col = np.full(m, (exterior - 1) * ext_pow, dtype=np.int64)
-        for k, p in zip(sid, pows):
-            col += digits[:, k] * p
-        codes[:, j] = col
+    low_digits, low_codes = _low_table(model, box)
+    chunk, low = divmod(start, len(low_digits))
+    if low + stop - start > len(low_digits):
+        raise ValueError(f"indices {start}..{stop - 1} span two chunks")
+    high = digits_of(chunk * len(low_digits), model.q, box.size)
+    rows = slice(low, low + stop - start)
+    digits = low_digits[rows] + high
+    codes = low_codes[rows] + grid.codes(high, exterior - 1)
     u = grid.tables.u
-    energies = u[codes].sum(axis=1) - len(grid.cube_terms) * grid.tables.u_min
+    energies = u[codes].sum(axis=1) - len(grid.bx.cubes) * grid.tables.u_min
     return digits, codes, energies
 
 
@@ -143,8 +169,12 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def _run_chunks(task, argses: Sequence[tuple], workers: int) -> list:
-    workers = _pool_size(workers, len(argses))
+def _run_chunks(task, head: tuple, workers: int) -> list:
+    """``task(head + (start, stop))`` for every chunk, in chunk order; head
+    starts with the model and the box."""
+    q, n = head[0].q, head[1].size
+    argses = (head + chunk for chunk in _chunk_ranges(q, n))
+    workers = _pool_size(workers, q ** (n - _low_digit_count(q, n)))
     if workers == 1:
         return [task(a) for a in argses]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -153,11 +183,8 @@ def _run_chunks(task, argses: Sequence[tuple], workers: int) -> list:
 
 def config_from_index(box: Box, exterior: int, q: int, index: int) -> Configuration:
     """The configuration at a sweep index (site k's digit is base-q digit k)."""
-    spins = []
-    for _ in range(box.size):
-        spins.append(index % q + 1)
-        index //= q
-    return Configuration(box, tuple(spins), exterior)
+    return Configuration(box, tuple((digits_of(index, q, box.size) + 1).tolist()),
+                         exterior)
 
 
 def index_of_config(config: Configuration, q: int) -> int:
@@ -188,9 +215,8 @@ def enumerate_distribution(ens: FiniteVolumeEnsemble, budget: int | None = None,
     require_certified(ens.model)
     count = ens.config_count
     _check_budget(count, budget)
-    argses = [(ens.model, ens.box, ens.exterior, ens.beta, a, b)
-              for a, b in _chunk_ranges(count)]
-    parts = _run_chunks(_dist_task, argses, workers)
+    parts = _run_chunks(_dist_task, (ens.model, ens.box, ens.exterior, ens.beta),
+                        workers)
     z = math.fsum(p[0] for p in parts)
     marg = np.zeros((ens.box.size, ens.model.q), dtype=np.float64)
     for _, m in parts:
@@ -222,9 +248,8 @@ def _site_marginals(model: ModelSpec, box: Box, exterior: int, x: Site,
     count = model.q ** box.size
     _check_budget(count, budget)
     site_idx = box.index_of(x)
-    argses = [(model, box, exterior, tuple(betas), site_idx, a, b)
-              for a, b in _chunk_ranges(count)]
-    parts = _run_chunks(_trend_task, argses, workers)
+    parts = _run_chunks(_trend_task, (model, box, exterior, tuple(betas), site_idx),
+                        workers)
     out = []
     for bi in range(len(betas)):
         z = math.fsum(p[bi][0] for p in parts)
@@ -327,9 +352,7 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     report = _check_exterior(model, exterior)
     count = model.q ** box.size
     _check_budget(count, budget)
-    argses = [(model, box, exterior, tuple(betas), a, b)
-              for a, b in _chunk_ranges(count)]
-    parts = _run_chunks(_contour_task, argses, workers)
+    parts = _run_chunks(_contour_task, (model, box, exterior, tuple(betas)), workers)
     zs = [math.fsum(p[0][bi] for p in parts) for bi in range(len(betas))]
     merged = {}
     for _, stats in parts:
@@ -414,7 +437,7 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
     energies = np.empty(count, dtype=np.float64)
     all_contours = []
     ext_digit = exterior - 1
-    for start, stop in _chunk_ranges(count):
+    for start, stop in _chunk_ranges(model.q, box.size):
         digits, codes, e = _chunk_energies(model, box, exterior, start, stop)
         energies[start:stop] = e
         digit_rows = digits.tolist()
@@ -446,58 +469,39 @@ def dlr_consistency(ens: FiniteVolumeEnsemble, subbox: Box,
         raise InputError(f"subbox {subbox.lower}..{subbox.upper} not inside the box")
     count = ens.config_count
     _check_budget(count, budget)
-    q = model.q
+    q, n = model.q, box.size
     grid = _grid(model, box)
-    u, u_min = grid.u_list, grid.tables.u_min
-
-    sites = box.sites()
-    sub_flat = [k for k, site in enumerate(sites) if subbox.contains(site)]
-    ann_flat = [k for k, site in enumerate(sites) if not subbox.contains(site)]
-    n_sub, n_ann = len(sub_flat), len(ann_flat)
+    in_sub = np.array([subbox.contains(site) for site in box.sites()])
+    n_sub = int(in_sub.sum())
+    sub_powers = q ** np.arange(n_sub, dtype=np.int64)
+    ann_powers = q ** np.arange(n - n_sub, dtype=np.int64)
 
     # exact joint accumulation
     sub_marginal = np.zeros(q ** n_sub, dtype=np.float64)
-    ann_weight = np.zeros(q ** n_ann, dtype=np.float64)
-    for start, stop in _chunk_ranges(count):
+    ann_weight = np.zeros(q ** (n - n_sub), dtype=np.float64)
+    for start, stop in _chunk_ranges(q, n):
         digits, _, energies = _chunk_energies(model, box, ens.exterior, start, stop)
         w = np.exp(-ens.beta * energies)
-        sub_code = np.zeros(stop - start, dtype=np.int64)
-        for j, k in enumerate(sub_flat):
-            sub_code += digits[:, k] * (q ** j)
-        ann_code = np.zeros(stop - start, dtype=np.int64)
-        for j, k in enumerate(ann_flat):
-            ann_code += digits[:, k] * (q ** j)
-        sub_marginal += np.bincount(sub_code, weights=w, minlength=q ** n_sub)
-        ann_weight += np.bincount(ann_code, weights=w, minlength=q ** n_ann)
+        sub_marginal += np.bincount(digits[:, in_sub] @ sub_powers, weights=w,
+                                    minlength=len(sub_marginal))
+        ann_weight += np.bincount(digits[:, ~in_sub] @ ann_powers, weights=w,
+                                  minlength=len(ann_weight))
     z = sub_marginal.sum()
     sub_marginal /= z
     ann_weight /= z
 
-    # conditional distributions recomputed from cube energies
-    sub_index = {k: j for j, k in enumerate(sub_flat)}
-    ann_index = {k: j for j, k in enumerate(ann_flat)}
-    touching = [term for term in grid.cube_terms
-                if any(k in sub_index for k in term[0])]
-    ext_digit = ens.exterior - 1
-
+    # conditional distributions recomputed from cube energies, one annulus
+    # row at a time over every subbox pattern
+    touching = [j for j, sid in enumerate(grid.bx.cube_site_idx)
+                if in_sub[list(sid)].any()]
+    rows = np.zeros((q ** n_sub, n), dtype=np.int64)
+    rows[:, in_sub] = digits_of(np.arange(q ** n_sub), q, n_sub)
+    u, u_min = grid.tables.u, grid.tables.u_min
     mixture = np.zeros(q ** n_sub, dtype=np.float64)
-    for ann_code in range(q ** n_ann):
-        w_ann = ann_weight[ann_code]
-        ann_digits = [(ann_code // q ** j) % q for j in range(n_ann)]
-        cond = np.zeros(q ** n_sub, dtype=np.float64)
-        for sub_code in range(q ** n_sub):
-            sub_digits = [(sub_code // q ** j) % q for j in range(n_sub)]
-            e = 0.0
-            for sid, pows, ext_pow in touching:
-                code = ext_digit * ext_pow
-                for k, p in zip(sid, pows):
-                    if k in sub_index:
-                        code += sub_digits[sub_index[k]] * p
-                    else:
-                        code += ann_digits[ann_index[k]] * p
-                e += u[code] - u_min
-            cond[sub_code] = math.exp(-ens.beta * e)
-        cond /= cond.sum()
-        mixture += w_ann * cond
+    for ann_code, w_ann in enumerate(ann_weight):
+        rows[:, ~in_sub] = digits_of(ann_code, q, n - n_sub)
+        codes = grid.codes(rows, ens.exterior - 1)[:, touching]
+        cond = np.exp(-ens.beta * (u[codes] - u_min).sum(axis=1))
+        mixture += w_ann * (cond / cond.sum())
 
     return float(np.max(np.abs(sub_marginal - mixture)))

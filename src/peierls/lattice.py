@@ -124,7 +124,7 @@ class Box:
         return cls(lo, tuple(l + w - 1 for l, w in zip(lo, shape)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _box_sites(box: Box) -> tuple:
     ranges = [range(l, u + 1) for l, u in zip(box.lower, box.upper)]
     return tuple(itertools.product(*ranges))

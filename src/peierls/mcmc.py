@@ -107,15 +107,13 @@ class _ChainState:
         self.u = grid.u_list
         self.u_min = grid.tables.u_min
         self.digits = [exterior - 1] * self.n
-        self.codes = []
+        self.codes = grid.codes(self.digits, exterior - 1).tolist()
         # per site: list of (cube index, power of q at its position)
         self.site_cubes = [[] for _ in range(self.n)]
-        for j, (sid, pows, ext_pow) in enumerate(grid.cube_terms):
-            code = (exterior - 1) * ext_pow
-            for k, p in zip(sid, pows):
-                code += self.digits[k] * p
-                self.site_cubes[k].append((j, p))
-            self.codes.append(code)
+        for j, row in enumerate(grid.bx.cube_index.tolist()):
+            for k, p in zip(row, grid.tables.powers):
+                if k < self.n:
+                    self.site_cubes[k].append((j, p))
         # per site: (pattern id, getter of the codes of its cubes), where a
         # pattern is the tuple of powers at the site's positions in its cubes
         ids = {}

@@ -226,6 +226,13 @@ def cube_sites(d: int, r: int) -> tuple:
     return tuple(itertools.product(range(r + 1), repeat=d))
 
 
+def digits_of(index, q: int, n: int) -> np.ndarray:
+    """The n base-q digits of each index below 2^63 (an integer or an integer
+    array), least significant first, along a new last axis."""
+    index = np.asarray(index, dtype=np.int64)
+    return index[..., None] // q ** np.arange(n, dtype=np.int64) % q
+
+
 @dataclass(frozen=True)
 class _PatternTables:
     """Precomputed per-model arrays indexed by cube pattern code.
@@ -246,7 +253,8 @@ class _PatternTables:
     constant_codes: tuple  # code of the constant-v pattern, index v-1
 
 
-@functools.lru_cache(maxsize=None)
+# A table can take 36 MB at DEFAULT_PATTERN_BUDGET: keep a few models only.
+@functools.lru_cache(maxsize=8)
 def _tables(model: ModelSpec) -> _PatternTables:
     c = model.cube_site_count
     q = model.q
@@ -259,8 +267,7 @@ def _tables(model: ModelSpec) -> _PatternTables:
     pos = {site: p for p, site in enumerate(sites)}
     powers = tuple(q ** p for p in range(c))
 
-    digits = (np.arange(count, dtype=np.int64)[:, None]
-              // np.array(powers, dtype=np.int64)) % q
+    digits = digits_of(np.arange(count), q, c)
     u = np.zeros(count, dtype=np.float64)
     for term in model.terms:
         shape_size = len(term.offsets)
@@ -274,10 +281,7 @@ def _tables(model: ModelSpec) -> _PatternTables:
             *(range(model.r - e + 1) for e in extents))
         for t in shifts:
             cols = [pos[tuple(a + b for a, b in zip(t, o))] for o in term.offsets]
-            sub = np.zeros(count, dtype=np.int64)
-            for j, col in enumerate(cols):
-                sub += digits[:, col] * (q ** j)
-            u += values[sub] / weight
+            u += values[digits[:, cols] @ q ** np.arange(shape_size)] / weight
 
     constant_codes = tuple(
         (v - 1) * (count - 1) // (q - 1) if q > 1 else 0 for v in range(1, q + 1)
@@ -301,14 +305,6 @@ def _tables(model: ModelSpec) -> _PatternTables:
     return _PatternTables(sites=sites, powers=powers, u=u, improper=improper,
                           u_min=u_min, gap=gap, value_count=len(reps),
                           min_codes=min_codes, constant_codes=constant_codes)
-
-
-def _decode_pattern(code: int, q: int, c: int) -> tuple:
-    out = []
-    for _ in range(c):
-        out.append(code % q + 1)
-        code //= q
-    return tuple(out)
 
 
 class CubePotential:
@@ -373,9 +369,8 @@ def potential_spectrum(model: ModelSpec, budget: int | None = None) -> SpectrumS
     t = _tables(model)
     c = model.cube_site_count
     codes = sorted(t.min_codes)
-    minimizers = tuple(
-        _decode_pattern(code, model.q, c) for code in codes[:_MAX_REPORTED_PATTERNS]
-    )
+    minimizers = tuple(map(tuple, (
+        digits_of(codes[:_MAX_REPORTED_PATTERNS], model.q, c) + 1).tolist()))
     return SpectrumSummary(
         min_energy=t.u_min, gap=t.gap, minimizers=minimizers,
         minimizer_count=len(t.min_codes), value_count=t.value_count,
@@ -398,7 +393,7 @@ class GroundStateReport:
     gap: float
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def verify_ground_states(model: ModelSpec) -> GroundStateReport:
     """Check whether the minimizing patterns are exactly the constants 1..s."""
     t = _tables(model)
@@ -411,7 +406,7 @@ def verify_ground_states(model: ModelSpec) -> GroundStateReport:
     offenders = ()
     if not certified:
         bad = sorted(t.min_codes - expected)[:_MAX_REPORTED_PATTERNS]
-        offenders = tuple(_decode_pattern(code, model.q, c) for code in bad)
+        offenders = tuple(map(tuple, (digits_of(bad, model.q, c) + 1).tolist()))
     return GroundStateReport(
         certified=certified,
         ground_spins=tuple(range(1, model.s + 1)) if certified else (),
@@ -430,7 +425,7 @@ def require_certified(model: ModelSpec) -> GroundStateReport:
     return report
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def check_symmetry(model: ModelSpec) -> bool:
     """True iff cube energies are invariant under every permutation of the
     spins 1..s (identity above s), checked on the transposition generators.
@@ -442,9 +437,8 @@ def check_symmetry(model: ModelSpec) -> bool:
         return True
     t = _tables(model)
     q = model.q
-    count = model.pattern_count
     powers = np.array(t.powers, dtype=np.int64)
-    digits = (np.arange(count, dtype=np.int64)[:, None] // powers) % q
+    digits = digits_of(np.arange(model.pattern_count), q, len(powers))
     for a in range(1, model.s):  # transpositions (a, a+1), 1-based spins
         perm = np.arange(q, dtype=np.int64)
         perm[a - 1], perm[a] = perm[a], perm[a - 1]
@@ -486,12 +480,12 @@ def conditional_hamiltonian(config, model: ModelSpec) -> float:
     outside the box as the exterior spin.  Nonnegative; zero exactly when
     every cube pattern is minimal.
     """
-    from .contours import _cube_codes_row, _grid  # contours depends on model
+    from .contours import _grid  # contours depends on model
 
     _validate_config(config, model)
     t = _tables(model)
-    codes = _cube_codes_row([v - 1 for v in config.spins], config.exterior - 1,
-                            _grid(model, config.box))
+    codes = _grid(model, config.box).codes(
+        [v - 1 for v in config.spins], config.exterior - 1).tolist()
     total = math.fsum(float(t.u[code]) for code in codes)
     return total - len(codes) * t.u_min
 

@@ -104,6 +104,18 @@ def test_rooted_subgraph_counts_refuse_sizes_below_one(d, r, n_max):
         rooted_subgraph_counts(d, r, n_max)
 
 
+def test_rooted_subgraph_counts_refuse_a_root_of_the_wrong_dimension():
+    for root in [(0,), (0, 0, 0)]:
+        with pytest.raises(InputError):
+            rooted_subgraph_counts(2, 1, 3, root=root)
+
+
+def test_contour_counts_refuse_a_site_of_the_wrong_dimension(ising):
+    for x in [(0,), (0, 0, 0)]:
+        with pytest.raises(InputError):
+            rooted_contour_counts(ising, x, 4)
+
+
 def test_subgraph_census_report():
     report = subgraph_census(2, 1, 4)
     assert report.k == 8

@@ -173,6 +173,12 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
     ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
      "--exterior", "5"],
     ["verify", "--builtin", "ising", "--box", "2y2", "--betas", "1"],
+    ["verify", "--builtin", "ising", "--box", "2x2x2", "--betas", "1"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2x2", "--betas", "1"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
+     "--budget", str((1 << 62) + 1)],
+    ["census", "--n-max", "4", "--builtin", "ising", "--site", "0"],
+    ["census", "--n-max", "4", "--builtin", "ising", "--site", "0,0,0"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -11,8 +11,11 @@ from peierls import (Box, CapacityError, CertificationError, Configuration,
                      contour_probability, contours, dlr_consistency,
                      enumerate_distribution, index_of_config, marginal_trend,
                      potts_model, verify_peierls_bound)
-from peierls.exact import _pool_size, contour_statistics, full_sweep
-from peierls.model import _tables
+from peierls.contours import _box_index, _grid
+from peierls.exact import (CHUNK, _chunk_ranges, _low_table, _pool_size,
+                           contour_statistics, full_sweep)
+from peierls.lattice import _box_sites
+from peierls.model import _tables, check_symmetry, verify_ground_states
 
 from conftest import single_flip
 
@@ -89,6 +92,41 @@ def test_budget_enforced(ising):
     with pytest.raises(CapacityError) as err:
         enumerate_distribution(ens, budget=1000)
     assert err.value.count == 2 ** 16
+
+
+def test_budget_is_capped_at_int64_sweeps(ising):
+    ens = FiniteVolumeEnsemble(box=Box((0, 0), (1, 1)), exterior=1, beta=1.0,
+                               model=ising)
+    assert enumerate_distribution(ens, budget=1 << 62).sample_space_size == 16
+    with pytest.raises(InputError):
+        enumerate_distribution(ens, budget=(1 << 62) + 1)
+
+
+def test_chunk_ranges_are_lazy():
+    # 2^48 chunks: a list of them would not fit in memory
+    chunks = _chunk_ranges(2, 62)
+    assert next(chunks) == (0, CHUNK)
+    assert next(chunks) == (CHUNK, 2 * CHUNK)
+    assert list(_chunk_ranges(3, 9)) == [(0, 3 ** 8), (3 ** 8, 2 * 3 ** 8),
+                                          (2 * 3 ** 8, 3 ** 9)]
+    assert list(_chunk_ranges(2, 5)) == [(0, 32)]
+
+
+@pytest.mark.parametrize("cached, key", [
+    (_tables, lambda i: (potts_model(J=1.0 + i),)),
+    (verify_ground_states, lambda i: (potts_model(J=1.0 + i),)),
+    (check_symmetry, lambda i: (potts_model(J=1.0 + i),)),
+    (_grid, lambda i: (potts_model(), Box.from_shape((1, i + 1)))),
+    (_box_index, lambda i: (Box.from_shape((1, i + 1)), 1)),
+    (_box_sites, lambda i: (Box.from_shape((1, i + 1)),)),
+    (_low_table, lambda i: (potts_model(), Box.from_shape((1, i + 1)))),
+])
+def test_caches_are_bounded(cached, key):
+    cap = cached.cache_parameters()["maxsize"]
+    assert cap is not None
+    for i in range(cap + 2):
+        cached(*key(i))
+    assert cached.cache_info().currsize <= cap
 
 
 def test_ensemble_validation(ising):
