@@ -64,6 +64,9 @@ def _explore_rooted(root: Site, neighbors: Callable, n_max: int,
     ``visit(size, members)`` receives the current set as a list whose prefix
     of length ``size`` is the set (the list is reused; copy if kept).
     """
+    if budget < 1:
+        raise CapacityError(
+            f"connected-set enumeration exceeded the budget {budget}", count=1)
     seen = {root}
     initial = []
     for u in neighbors(root):

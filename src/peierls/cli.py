@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .census import rooted_contour_counts, subgraph_census
+from .census import DEFAULT_SET_BUDGET, rooted_contour_counts, subgraph_census
 from .contours import boundary, contours as extract_contours
 from .errors import CapacityError, InputError, VerificationError
 from .exact import (DEFAULT_BUDGET, FiniteVolumeEnsemble, coexistence_gap,
@@ -222,8 +222,10 @@ def _run_verify(params: dict, out_dir: Path) -> tuple:
 
 def _run_census(params: dict, out_dir: Path) -> tuple:
     outputs = []
-    report = subgraph_census(params["d"], params["r"], params["n_max"],
-                             budget=params.get("budget") or 10_000_000)
+    budget = params.get("budget")
+    if budget is None:
+        budget = DEFAULT_SET_BUDGET
+    report = subgraph_census(params["d"], params["r"], params["n_max"], budget=budget)
     write_csv(out_dir / "census_subgraphs.csv", ["n", "count", "bound", "ratio"],
               [(rec.n, rec.count, rec.bound, rec.ratio) for rec in report.records])
     outputs.append("census_subgraphs.csv")
@@ -235,7 +237,7 @@ def _run_census(params: dict, out_dir: Path) -> tuple:
         site = tuple(params["site"])
         creport = rooted_contour_counts(
             model, site, params["n_max"], exterior=params.get("exterior", 1),
-            max_interior=params.get("max_interior"))
+            max_interior=params.get("max_interior"), budget=budget)
         write_csv(out_dir / "census_contours.csv", ["n", "count", "bound", "ratio"],
                   [(rec.n, rec.count, rec.bound, rec.ratio) for rec in creport.records])
         outputs.append("census_contours.csv")

@@ -175,7 +175,7 @@ def _box_index(box: Box, r: int) -> _BoxIndex:
 class _Grid:
     """A box index specialized to one model: energy tables and cube codes."""
 
-    __slots__ = ("bx", "model", "tables", "powers", "u_list", "improper_list")
+    __slots__ = ("bx", "model", "tables", "powers")
 
     def __init__(self, model: ModelSpec, box: Box):
         if box.dimension != model.d:
@@ -185,8 +185,6 @@ class _Grid:
         self.model = model
         self.tables = _tables(model)
         self.powers = np.array(self.tables.powers, dtype=np.int64)
-        self.u_list = self.tables.u.tolist()
-        self.improper_list = self.tables.improper.tolist()
 
     def codes(self, digits, ext_digit: int) -> np.ndarray:
         """Pattern codes of every cube meeting the box, for each digit row.
@@ -201,8 +199,8 @@ class _Grid:
         return padded[..., self.bx.cube_index] @ self.powers
 
 
-# A grid holds its model's energy table as a Python list, several times the
-# size of the table itself.
+# A grid shares its model's tables and its box's index with other grids and
+# owns only the powers of q, so caching many grids costs little.
 @functools.lru_cache(maxsize=16)
 def _grid(model: ModelSpec, box: Box) -> _Grid:
     return _Grid(model, box)
@@ -234,10 +232,11 @@ def _label_components(members: Sequence[int], adjacency, restrict=None) -> dict:
     return labels
 
 
-def _light_contours(digits: Sequence[int], ext_digit: int, codes: Sequence[int],
+def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[bool],
                     grid: _Grid) -> tuple:
     """Per-configuration contour summary used by exhaustive sweeps.
 
+    ``improper`` flags each cube of the grid whose pattern is improper.
     Returns a tuple of (serial, size) pairs where serial is the canonical
     sorted tuple of (site, mark) pairs.
     """
@@ -248,9 +247,8 @@ def _light_contours(digits: Sequence[int], ext_digit: int, codes: Sequence[int],
     labels = _label_components(dev, bx.ball)
     n_comp = max(labels.values()) + 1
     sizes = [0] * n_comp
-    improper = grid.improper_list
-    for j, code in enumerate(codes):
-        if improper[code]:
+    for j, flag in enumerate(improper):
+        if flag:
             for k in bx.cube_site_idx[j]:
                 if digits[k] != ext_digit:
                     sizes[labels[k]] += 1
@@ -301,11 +299,10 @@ def boundary(config: Configuration, model: ModelSpec) -> Boundary:
     require_certified(model)
     _validate_config(config, model)
     grid = _grid(model, config.box)
-    codes = grid.codes([v - 1 for v in config.spins], config.exterior - 1).tolist()
-    improper = grid.improper_list
+    codes = grid.codes([v - 1 for v in config.spins], config.exterior - 1)
     cubes = grid.bx.cubes
     return Boundary(frozenset(
-        cubes[j] for j, code in enumerate(codes) if improper[code]))
+        cubes[j] for j in np.flatnonzero(grid.tables.improper[codes]).tolist()))
 
 
 def contours(config: Configuration, model: ModelSpec) -> list:
@@ -325,15 +322,13 @@ def contours(config: Configuration, model: ModelSpec) -> list:
         return []
 
     contour_labels = _label_components(dev, bx.ball)
-    codes = grid.codes([v - 1 for v in spins], ext - 1).tolist()
-    improper = grid.improper_list
+    codes = grid.codes([v - 1 for v in spins], ext - 1)
     imp_per_contour = {}
-    for j, code in enumerate(codes):
-        if improper[code]:
-            for k in bx.cube_site_idx[j]:
-                if spins[k] != ext:
-                    imp_per_contour.setdefault(contour_labels[k], []).append(bx.cubes[j])
-                    break
+    for j in np.flatnonzero(grid.tables.improper[codes]).tolist():
+        for k in bx.cube_site_idx[j]:
+            if spins[k] != ext:
+                imp_per_contour.setdefault(contour_labels[k], []).append(bx.cubes[j])
+                break
 
     per_contour_subs = {}
     for sub in subcontours(config):  # ordered by smallest site

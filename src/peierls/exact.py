@@ -50,8 +50,7 @@ class FiniteVolumeEnsemble:
     model: ModelSpec
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise InputError(f"beta must be >= 0, got {self.beta}")
+        _check_betas([self.beta])
         if not 1 <= self.exterior <= self.model.s:
             raise InputError(
                 f"exterior spin {self.exterior} outside the symmetric sector "
@@ -109,6 +108,12 @@ def _check_budget(count: int, budget: int | None):
         raise CapacityError(
             f"enumeration over {count} configurations exceeds the budget {cap}",
             count=count)
+
+
+def _check_betas(betas: Sequence[float]):
+    for beta in betas:
+        if not (math.isfinite(beta) and beta >= 0):
+            raise InputError(f"beta must be finite and >= 0, got {beta}")
 
 
 def _check_exterior(model: ModelSpec, exterior: int):
@@ -247,6 +252,7 @@ def _site_marginals(model: ModelSpec, box: Box, exterior: int, x: Site,
     """Exact marginal distribution at one site, for each beta (one sweep)."""
     count = model.q ** box.size
     _check_budget(count, budget)
+    _check_betas(betas)
     site_idx = box.index_of(x)
     parts = _run_chunks(_trend_task, (model, box, exterior, tuple(betas), site_idx),
                         workers)
@@ -327,9 +333,9 @@ def _contour_task(args):
     stats = {}
     ext_digit = exterior - 1
     digit_rows = digits.tolist()
-    code_rows = codes.tolist()
+    improper_rows = grid.tables.improper[codes].tolist()
     for row_i in range(len(digit_rows)):
-        lights = _light_contours(digit_rows[row_i], ext_digit, code_rows[row_i], grid)
+        lights = _light_contours(digit_rows[row_i], ext_digit, improper_rows[row_i], grid)
         for serial, size in lights:
             entry = stats.get(serial)
             if entry is None:
@@ -352,6 +358,7 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     report = _check_exterior(model, exterior)
     count = model.q ** box.size
     _check_budget(count, budget)
+    _check_betas(betas)
     parts = _run_chunks(_contour_task, (model, box, exterior, tuple(betas)), workers)
     zs = [math.fsum(p[0][bi] for p in parts) for bi in range(len(betas))]
     merged = {}
@@ -432,7 +439,7 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
     """Materialize energies and contour lists for every configuration."""
     require_certified(model)
     count = model.q ** box.size
-    _check_budget(count, min(budget, 1 << 22) if budget else 1 << 22)
+    _check_budget(count, 1 << 22 if budget is None else min(budget, 1 << 22))
     grid = _grid(model, box)
     energies = np.empty(count, dtype=np.float64)
     all_contours = []
@@ -441,10 +448,10 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
         digits, codes, e = _chunk_energies(model, box, exterior, start, stop)
         energies[start:stop] = e
         digit_rows = digits.tolist()
-        code_rows = codes.tolist()
+        improper_rows = grid.tables.improper[codes].tolist()
         for row_i in range(len(digit_rows)):
-            all_contours.append(
-                _light_contours(digit_rows[row_i], ext_digit, code_rows[row_i], grid))
+            all_contours.append(_light_contours(
+                digit_rows[row_i], ext_digit, improper_rows[row_i], grid))
     return SweepTable(box=box, exterior=exterior, model=model,
                       energies=energies, contours=all_contours)
 

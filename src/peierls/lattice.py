@@ -61,13 +61,6 @@ class Cube:
     def contains(self, site: Site) -> bool:
         return all(a <= c <= a + self.r for a, c in zip(self.anchor, site))
 
-    def intersects(self, other: "Cube") -> bool:
-        """Nonempty overlap; per axis the intervals [a, a+r] must meet."""
-        return all(
-            a <= b + other.r and b <= a + self.r
-            for a, b in zip(self.anchor, other.anchor)
-        )
-
 
 @dataclass(frozen=True)
 class Box:
@@ -98,6 +91,10 @@ class Box:
         return n
 
     def contains(self, site: Site) -> bool:
+        """Whether the site lies in the box; refuses a site of another dimension."""
+        if len(site) != len(self.lower):
+            raise InputError(
+                f"site {site} has dimension {len(site)}, box has {len(self.lower)}")
         return all(l <= c <= u for l, c, u in zip(self.lower, site, self.upper))
 
     def sites(self) -> tuple:

@@ -104,7 +104,7 @@ class _ChainState:
         self.beta = beta
         self.q = model.q
         self.n = box.size
-        self.u = grid.u_list
+        self.u = grid.tables.u.tolist()  # site updates read it one cube at a time
         self.u_min = grid.tables.u_min
         self.digits = [exterior - 1] * self.n
         self.codes = grid.codes(self.digits, exterior - 1).tolist()

@@ -93,9 +93,6 @@ class InteractionTerm:
     def diameter(self) -> int:
         return max(self.extents)
 
-    def table(self) -> dict:
-        return dict(self.entries)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -267,21 +264,23 @@ def _tables(model: ModelSpec) -> _PatternTables:
     pos = {site: p for p, site in enumerate(sites)}
     powers = tuple(q ** p for p in range(c))
 
-    digits = digits_of(np.arange(count), q, c)
+    codes = np.arange(count, dtype=np.int64)
     u = np.zeros(count, dtype=np.float64)
     for term in model.terms:
-        shape_size = len(term.offsets)
         weight = containing_cube_count(term.offsets, model.r)
-        values = np.zeros(q ** shape_size, dtype=np.float64)
+        values = np.zeros(q ** len(term.offsets), dtype=np.float64)
         for pattern, val in term.entries:
             code = sum((v - 1) * q ** j for j, v in enumerate(pattern))
             values[code] += val
-        extents = term.extents
         shifts = itertools.product(
-            *(range(model.r - e + 1) for e in extents))
+            *(range(model.r - e + 1) for e in term.extents))
         for t in shifts:
-            cols = [pos[tuple(a + b for a, b in zip(t, o))] for o in term.offsets]
-            u += values[digits[:, cols] @ q ** np.arange(shape_size)] / weight
+            # the placement's term code, one cube position (digit) at a time
+            term_codes = np.zeros(count, dtype=np.int64)
+            for j, o in enumerate(term.offsets):
+                p = powers[pos[tuple(a + b for a, b in zip(t, o))]]
+                term_codes += codes // p % q * q ** j
+            u += values[term_codes] / weight
 
     constant_codes = tuple(
         (v - 1) * (count - 1) // (q - 1) if q > 1 else 0 for v in range(1, q + 1)
@@ -332,10 +331,6 @@ class CubePotential:
 
     def constant(self, spin: int) -> float:
         return float(self._t.u[self._t.constant_codes[spin - 1]])
-
-    @property
-    def table(self) -> np.ndarray:
-        return self._t.u
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +432,14 @@ def check_symmetry(model: ModelSpec) -> bool:
         return True
     t = _tables(model)
     q = model.q
-    powers = np.array(t.powers, dtype=np.int64)
-    digits = digits_of(np.arange(model.pattern_count), q, len(powers))
+    codes = np.arange(model.pattern_count, dtype=np.int64)
     for a in range(1, model.s):  # transpositions (a, a+1), 1-based spins
         perm = np.arange(q, dtype=np.int64)
         perm[a - 1], perm[a] = perm[a], perm[a - 1]
-        codes = (perm[digits] * powers).sum(axis=1)
-        if np.max(np.abs(t.u[codes] - t.u)) > SYMMETRY_TOL:
+        permuted = np.zeros_like(codes)
+        for p in t.powers:  # one cube position (digit) at a time
+            permuted += perm[codes // p % q] * p
+        if np.max(np.abs(t.u[permuted] - t.u)) > SYMMETRY_TOL:
             return False
     return True
 
@@ -485,9 +481,8 @@ def conditional_hamiltonian(config, model: ModelSpec) -> float:
     _validate_config(config, model)
     t = _tables(model)
     codes = _grid(model, config.box).codes(
-        [v - 1 for v in config.spins], config.exterior - 1).tolist()
-    total = math.fsum(float(t.u[code]) for code in codes)
-    return total - len(codes) * t.u_min
+        [v - 1 for v in config.spins], config.exterior - 1)
+    return math.fsum(t.u[codes].tolist()) - len(codes) * t.u_min
 
 
 def relative_hamiltonian(config, phi: int, model: ModelSpec) -> float:

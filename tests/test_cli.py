@@ -59,6 +59,17 @@ def test_budget_exceeded_exits_three(tmp_path, capsys):
     assert "65536" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # 509 subgraph sets fit, the 3,699 marked-interior sets do not
+    ["census", "--n-max", "4", "--builtin", "potts:q=3", "--max-interior", "5",
+     "--budget", "600"],
+    ["census", "--n-max", "1", "--budget", "0"],
+])
+def test_census_budget_bounds_every_stage(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
 def test_contours_command(tmp_path, capsys):
     model = potts_model(q=2)
     mpath = tmp_path / "model.txt"
@@ -179,6 +190,18 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
      "--budget", str((1 << 62) + 1)],
     ["census", "--n-max", "4", "--builtin", "ising", "--site", "0"],
     ["census", "--n-max", "4", "--builtin", "ising", "--site", "0,0,0"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "nan"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1,inf"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "-1000"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "nan"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "inf"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "-1"],
+    ["sample", "--builtin", "ising", "--box", "2x2", "--beta", "nan",
+     "--sweeps", "10"],
+    ["sample", "--builtin", "ising", "--box", "4x4", "--beta", "1",
+     "--sweeps", "10", "--site", "1"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "1",
+     "--site", "1,1,1"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

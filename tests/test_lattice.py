@@ -113,6 +113,15 @@ def test_box_basics():
         box.index_of((5, 5))
 
 
+@pytest.mark.parametrize("site", [(1,), (1, 1, 1)])
+def test_box_refuses_a_site_of_another_dimension(site):
+    box = Box((0, 0), (3, 3))
+    with pytest.raises(InputError):
+        box.contains(site)
+    with pytest.raises(InputError):
+        box.index_of(site)
+
+
 def test_cubes_meeting_box_matches_set_version():
     box = Box((0, 0), (2, 2))
     listed = cubes_meeting_box(box, 1)

@@ -3,18 +3,23 @@
 Models are drawn with d = 2, r in {1, 2} and q <= 3: a few interaction terms
 on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
+The last two tests bound the memory that building the pattern tables takes
+and that a box grid keeps, on one large built-in model.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from peierls import Box, CubePotential, InteractionTerm, ModelSpec, check_symmetry
+from peierls import (Box, CubePotential, InteractionTerm, ModelSpec, check_symmetry,
+                     containing_cube_count, potts_model)
+from peierls.contours import _grid
 from peierls.exact import _chunk_energies, _chunk_ranges, config_from_index
 from peierls.lattice import cubes_meeting_box
-from peierls.model import _tables, permute_spins
+from peierls.model import _tables, cube_sites, digits_of, permute_spins
 
 
 def symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
@@ -90,3 +95,80 @@ def test_chunk_energies_match_a_cube_by_cube_oracle(case, picks):
         index = min(int(pick * count), count - 1)
         want, scale = oracle_energy(model, box, exterior, index)
         assert abs(energies[index] - want) <= 1e-12 * max(scale, 1.0)
+
+
+def oracle_cube_energy(model: ModelSpec, code: int) -> tuple:
+    """Energy of one cube pattern: every placement of every term inside the
+    cube adds its value over the number of cubes containing it.  Returns the
+    energy and the sum of the magnitudes added."""
+    sites = cube_sites(model.d, model.r)
+    spin = dict(zip(sites, (digits_of(code, model.q, len(sites)) + 1).tolist()))
+    parts = []
+    for term in model.terms:
+        table = dict(term.entries)
+        weight = containing_cube_count(term.offsets, model.r)
+        for shift in sites:
+            placed = [tuple(a + b for a, b in zip(shift, o)) for o in term.offsets]
+            if all(site in spin for site in placed):
+                parts.append(table.get(tuple(spin[x] for x in placed), 0.0) / weight)
+    return math.fsum(parts), math.fsum(abs(v) for v in parts)
+
+
+def perturb_constant_pattern(model: ModelSpec, eps: float) -> ModelSpec:
+    """The model with eps added to its first term's all-ones pattern: the
+    constant-1 cube then differs from the constant-2 cube, so for s >= 2 the
+    perturbed model is not symmetric."""
+    first = model.terms[0]
+    table = dict(first.entries)
+    ones = (1,) * len(first.offsets)
+    table[ones] = table.get(ones, 0.0) + eps
+    return ModelSpec(d=model.d, r=model.r, q=model.q, s=model.s,
+                     terms=(InteractionTerm.from_table(first.offsets, table),)
+                     + model.terms[1:])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=cases())
+@example(case=(3, 2, 3, (1, 1), 4))
+@example(case=(2, 2, 2, (1, 1), 5))
+def test_pattern_tables_match_a_placement_oracle(case):
+    q, r, s, _, seed = case
+    model = symmetric_model(q, r, s, seed)
+    u = _tables(model).u
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, model.pattern_count, size=min(200, model.pattern_count))
+    for code in [0, model.pattern_count - 1] + codes.tolist():
+        want, scale = oracle_cube_energy(model, code)
+        assert abs(u[code] - want) <= 1e-12 * max(scale, 1.0)
+    assert check_symmetry(model)
+    if s >= 2:
+        assert not check_symmetry(perturb_constant_pattern(model, 1e-6))
+
+
+def traced_peak_and_kept(fn) -> tuple:
+    """tracemalloc's peak during fn() and the memory fn() left allocated."""
+    tracemalloc.start()
+    try:
+        fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept
+
+
+# A J that no other test uses, so each test below builds what it measures.
+# potts:q=4,r=2 has 4^9 cube patterns: a patterns x cube sites int64 digit
+# array takes 18.9 MB, and a Python list of its energies over 8 MB.
+
+def test_pattern_tables_build_without_a_digit_matrix():
+    model = potts_model(r=2, q=4, J=1.375)
+    peak, _ = traced_peak_and_kept(lambda: check_symmetry(model))
+    assert peak < 16e6
+
+
+def test_a_grid_keeps_no_copy_of_the_tables():
+    model = potts_model(r=2, q=4, J=1.625)
+    _tables(model)
+    _, kept = traced_peak_and_kept(
+        lambda: _grid(model, Box.from_shape((2, 2), lower=(11, -5))))
+    assert kept < 1e6
