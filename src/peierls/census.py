@@ -64,6 +64,8 @@ def _explore_rooted(root: Site, neighbors: Callable, n_max: int,
     ``visit(size, members)`` receives the current set as a list whose prefix
     of length ``size`` is the set (the list is reused; copy if kept).
     """
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     if budget < 1:
         raise CapacityError(
             f"connected-set enumeration exceeded the budget {budget}", count=1)
@@ -189,6 +191,8 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     d, r, q, s = model.d, model.r, model.q, model.s
     if len(x) != d:
         raise InputError(f"site {x} has dimension {len(x)}, need {d}")
+    if max_interior < 1:
+        raise InputError(f"max_interior must be >= 1, got {max_interior}")
     marks_allowed = [v for v in range(1, q + 1) if v != exterior]
     cube_volume = (r + 1) ** d
     ball = CubeGraph(d, r).neighbors

@@ -357,6 +357,8 @@ def potential_spectrum(model: ModelSpec, budget: int | None = None) -> SpectrumS
     (values closer than 1e-9 are treated as ties); it is zero, and the
     summary is flagged degenerate, when only one value occurs.
     """
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     if budget is not None and model.pattern_count > budget:
         raise CapacityError(
             f"cube pattern space has {model.pattern_count} elements, over the "

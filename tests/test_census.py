@@ -157,6 +157,14 @@ def test_contour_roundtrip(ising, potts3):
     assert contour_roundtrip_mismatches(potts3, (0, 0), 6) == []
 
 
+@pytest.mark.parametrize("max_interior", [0, -3])
+def test_contour_enumerations_refuse_an_interior_cap_below_one(ising, max_interior):
+    with pytest.raises(InputError):
+        rooted_contour_counts(ising, (0, 0), 4, max_interior=max_interior)
+    with pytest.raises(InputError):
+        contour_roundtrip_mismatches(ising, (0, 0), 4, max_interior=max_interior)
+
+
 def test_contour_counts_need_interior_cap_for_unusual_geometry():
     from peierls import InputError
     model = potts_model(d=3, r=1, q=2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -202,6 +203,14 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
      "--sweeps", "10", "--site", "1"],
     ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "1",
      "--site", "1,1,1"],
+    ["census", "--n-max", "4", "--builtin", "ising", "--max-interior", "0"],
+    ["census", "--n-max", "4", "--builtin", "ising", "--max-interior", "-3"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
+     "--budget", "-1"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "1",
+     "--budget", "-1"],
+    ["model-check", "--builtin", "ising", "--budget", "-1"],
+    ["census", "--n-max", "2", "--budget", "-1"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -271,3 +280,19 @@ def test_manifests_are_pinned(tmp_path, case, via):
     text = (out / "manifest.json").read_text().replace(str(tmp_path), "{tmp}")
     pinned = Path(__file__).parent / "manifests" / f"{case}.json"
     assert text == pinned.read_text()
+
+
+# sha256 of every CSV two command lines write, recorded in
+# tests/csv_digests.json.  A change to the order of summation changes the last
+# bits of these numbers: it re-records the digests and says so.
+CSV_DIGESTS = Path(__file__).parent / "csv_digests.json"
+
+
+@pytest.mark.parametrize("case", sorted(json.loads(CSV_DIGESTS.read_text())))
+def test_csv_bytes_are_pinned(tmp_path, case):
+    pinned = json.loads(CSV_DIGESTS.read_text())[case]
+    out = tmp_path / case
+    assert main(pinned["argv"] + ["--out", str(out)]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.glob("*.csv"))}
+    assert got == pinned["sha256"]

@@ -265,6 +265,12 @@ def test_exterior_outside_the_sector_is_refused(ising, exterior):
         marginal_trend(ising, box, (0, 0), exterior, 2, [1.0])
 
 
+@pytest.mark.parametrize("exterior", [0, 3])
+def test_full_sweep_refuses_an_exterior_outside_the_sector(ising, exterior):
+    with pytest.raises(InputError):
+        full_sweep(ising, Box.from_shape((2, 2)), exterior)
+
+
 def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert _pool_size(1000, 10) == 4

@@ -3,6 +3,8 @@
 Models are drawn with d = 2, r in {1, 2} and q <= 3: a few interaction terms
 on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
+Exact sweeps also need certified ground states, so the marginal sweep test
+adds a tenth of such a model to the Potts or excited Potts terms.
 The last two tests bound the memory that building the pattern tables takes
 and that a box grid keeps, on one large built-in model.
 """
@@ -14,10 +16,12 @@ import tracemalloc
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from peierls import (Box, CubePotential, InteractionTerm, ModelSpec, check_symmetry,
-                     containing_cube_count, potts_model)
+from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
+                     ModelSpec, check_symmetry, coexistence_gap, containing_cube_count,
+                     dlr_consistency, enumerate_distribution, excited_potts_model,
+                     marginal_trend, potts_model, require_certified)
 from peierls.contours import _grid
-from peierls.exact import _chunk_energies, _chunk_ranges, config_from_index
+from peierls.exact import _chunk_energies, _chunk_ranges, config_from_index, full_sweep
 from peierls.lattice import cubes_meeting_box
 from peierls.model import _tables, cube_sites, digits_of, permute_spins
 
@@ -143,6 +147,68 @@ def test_pattern_tables_match_a_placement_oracle(case):
     assert check_symmetry(model)
     if s >= 2:
         assert not check_symmetry(perturb_constant_pattern(model, 1e-6))
+
+
+def certified_symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
+    """Potts terms (s = q) or excited Potts terms (s < q) plus a tenth of
+    the terms of ``symmetric_model``: symmetric, and small enough a
+    perturbation that the s constants stay the certified ground states."""
+    base = potts_model(r=r, q=q) if s == q else excited_potts_model(q=q, s=s, r=r)
+    extra = tuple(InteractionTerm.from_table(
+        term.offsets, {pattern: 0.1 * value for pattern, value in term.entries})
+        for term in symmetric_model(q, r, s, seed).terms)
+    return ModelSpec(d=2, r=r, q=q, s=s, terms=base.terms + extra)
+
+
+# Boxes of several sites; q = 2 on 4x4 and q = 3 on 3x3 span several chunks.
+SWEEP_SHAPES = {2: [(2, 2), (2, 3), (3, 3), (4, 4)],
+                3: [(1, 2), (2, 2), (2, 3), (3, 3)]}
+
+
+@st.composite
+def sweep_cases(draw):
+    q = draw(st.integers(2, 3))
+    return (q, draw(st.integers(1, 2)), draw(st.integers(1, q)),
+            draw(st.sampled_from(SWEEP_SHAPES[q])), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(case=sweep_cases(), beta=st.floats(0.0, 2.0))
+@example(case=(2, 1, 2, (4, 4), 6), beta=0.8)
+@example(case=(3, 1, 3, (3, 3), 7), beta=1.3)
+@example(case=(3, 2, 2, (3, 3), 9), beta=0.6)
+def test_marginal_sweep_matches_the_full_sweep(case, beta):
+    q, r, s, shape, seed = case
+    model = certified_symmetric_model(q, r, s, seed)
+    require_certified(model)
+    assert check_symmetry(model)
+    box = Box.from_shape(shape)
+    exterior = 1 + seed % s
+
+    # oracle: a numpy reduction of the materialised sweep
+    w = np.exp(-beta * full_sweep(model, box, exterior).energies)
+    digits = digits_of(np.arange(len(w)), q, box.size)
+    marginals = np.array([np.bincount(digits[:, k], weights=w, minlength=q)
+                          for k in range(box.size)]) / w.sum()
+
+    dist = enumerate_distribution(
+        FiniteVolumeEnsemble(box=box, exterior=exterior, beta=beta, model=model))
+    assert abs(dist.log_partition - math.log(w.sum())) <= 1e-12
+    for k, site in enumerate(box.sites()):
+        for v in range(1, q + 1):
+            assert abs(dist.marginals[(site, v)] - marginals[k, v - 1]) <= 1e-12
+
+    x = box.sites()[seed % box.size]
+    j = exterior % q + 1
+    assert marginal_trend(model, box, x, exterior, j, [beta]) == [
+        dist.marginals[(x, j)]]
+    if s >= 2:
+        (gap,) = coexistence_gap(model, box, x, [beta])
+        assert gap.permutation_residual <= 1e-12
+
+    corner = Box.from_shape(tuple(min(2, side) for side in shape))
+    ens = FiniteVolumeEnsemble(box=box, exterior=exterior, beta=beta, model=model)
+    assert dlr_consistency(ens, corner) <= 1e-10
 
 
 def traced_peak_and_kept(fn) -> tuple:
