@@ -370,7 +370,8 @@ _BOX = _Param("box", _is_str, parse=lambda text: box_spec(parse_box(text)),
 _BETAS = _Param("betas", _list_of(_is_number), parse=parse_betas, required=True,
                 help="comma list, e.g. 0.5,1,2")
 _SITE = _Param("site", _list_of(_is_int), parse=lambda text: list(parse_site(text)))
-_WORKERS = _Param("workers", _is_int, type=int, default=1)
+_WORKERS = _Param("workers", lambda x: _is_int(x) and x >= 1, type=int, default=1,
+                   help="worker processes, at least 1")
 
 
 def _int_param(name, default=None, **kwargs) -> _Param:
@@ -460,6 +461,8 @@ def _run_rerun(manifest_path: str, out_dir: Path, workers: int | None) -> int:
     _check_params(command, params)
     params = dict(params)
     if workers is not None:
+        if not _WORKERS.check(workers):
+            raise InputError(f"--workers must be at least 1, got {workers}")
         params["workers"] = workers
     return _run(command, params, out_dir)
 

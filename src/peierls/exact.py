@@ -3,13 +3,15 @@
 Configurations with a fixed exterior spin are indexed 0 .. q^|box| - 1, the
 digit of flat site k in base q being its spin minus one.  A sweep runs over
 chunks of q^a indices, a being the largest integer with q^a <= CHUNK (and at
-most the site count): a chunk fixes the high digits, and its low a digits,
-with their share of every cube's pattern code, come from a low table built
-once per box.  Cube energies are read from the model table.  Relative
-energies are nonnegative with the all-exterior configuration at zero, so raw
-Boltzmann weights never overflow and partition sums stay in linear
-arithmetic (the maximal weight is one, which is exactly the max-shifted
-log-domain form).
+most the site count): a chunk fixes the digits at sites a and above.  Its
+energies split by the cubes' flat indices: low-only cubes (reading no site
+at a or above) sum to one q^a vector per exterior, built once per box with
+the low table; high-only cubes (none below a) to one scalar per chunk; only
+the straddling cubes are read per configuration.  Cube energies are taken
+less their minimum, so relative energies are nonnegative with the
+all-exterior configuration at zero: raw Boltzmann weights never overflow and
+partition sums stay in linear arithmetic (the maximal weight is one, which
+is exactly the max-shifted log-domain form).
 
 Chunks are processed independently, optionally across worker processes, and
 merged in fixed chunk order, so results are bit-identical for any worker
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +38,6 @@ from .model import ModelSpec, digits_of, require_certified
 DEFAULT_BUDGET = 1 << 26
 MAX_BUDGET = 1 << 62  # sweep indices and their digits are int64
 CHUNK = 1 << 14
-_LOW_BLOCK = 1 << 10  # rows per _Grid.codes call while building the low table
 BOUND_TOL = 1e-12
 
 
@@ -137,38 +139,72 @@ def _chunk_ranges(q: int, n: int):
     return ((start, start + step) for start in range(0, q ** n, step))
 
 
+# The low table of a box: ``u`` is the cube energies less their minimum;
+# ``digits`` and ``codes`` hold every index below q^a, its digits on all sites
+# (zero above the low a) and its cube codes with a zero exterior digit, in the
+# smallest dtypes that fit; ``low_only``, ``straddle`` and ``high_only`` list
+# the cubes of each class; ``straddle_codes`` holds the straddling cubes' code
+# columns, one row per cube; ``low_energy[e - 1]`` sums the low-only cubes
+# under exterior e.
+_LowTable = namedtuple("_LowTable", "u digits codes low_only straddle high_only "
+                                    "straddle_codes low_energy")
+
+
 @functools.lru_cache(maxsize=1)
-def _low_table(model: ModelSpec, box: Box) -> tuple:
-    """(digits, codes) of every index below q^a: its digits on all sites (zero
-    above the low a) and their cube codes with a zero exterior digit.  Only
-    the last box's table is kept."""
+def _low_table(model: ModelSpec, box: Box) -> _LowTable:
+    """The low table of a box; only the last box's table is kept."""
     grid = _grid(model, box)
-    rows = model.q ** _low_digit_count(model.q, box.size)
+    q, n, a = model.q, box.size, _low_digit_count(model.q, box.size)
     small = np.min_scalar_type  # the table stays alive beside every chunk
-    digits = digits_of(np.arange(rows), model.q, box.size).astype(small(model.q - 1))
-    codes = np.empty((rows, len(grid.bx.cubes)), dtype=small(model.pattern_count - 1))
-    for start in range(0, rows, _LOW_BLOCK):
-        block = slice(start, start + _LOW_BLOCK)
-        codes[block] = grid.codes(digits[block], 0)
-    return digits, codes
+    digits = np.zeros((1, n), dtype=small(q - 1))
+    codes = np.zeros((1, len(grid.bx.cubes)), dtype=small(model.pattern_count - 1))
+    # codes are linear in the digits: index v * q^k + i adds v times site k's share
+    shares = grid.codes(np.eye(a, n, dtype=np.int64), 0).astype(codes.dtype)
+    for k in range(a):
+        digits = np.concatenate([digits] * q)
+        digits[:, k] = np.arange(q).repeat(len(digits) // q)
+        codes = np.concatenate([codes + v * shares[k] for v in range(q)])
+    lowest, highest = (np.array([f(k) for k in grid.bx.cube_site_idx]) for f in (min, max))
+    low_only = np.flatnonzero(highest < a)
+    straddle = np.flatnonzero((lowest < a) & (highest >= a))
+    u = grid.tables.u - grid.tables.u_min
+    # a low-only code is its low table entry plus the exterior's share
+    low_energy = np.array([
+        np.take(u, codes[:, low_only] + grid.codes(np.zeros(n), ext_digit)[low_only]
+                .astype(codes.dtype)).sum(axis=1)
+        for ext_digit in range(model.s)])
+    return _LowTable(u, digits, codes, low_only, straddle, np.flatnonzero(lowest >= a),
+                     codes[:, straddle].T.copy(), low_energy)
 
 
 def _chunk_energies(model: ModelSpec, box: Box, exterior: int,
                     start: int, stop: int):
-    """Return (digits, cube codes, relative energies) of the indices
-    start..stop-1, which lie in one chunk of ``_chunk_ranges``."""
+    """Return (relative energies, high digits, low table rows) of the indices
+    start..stop-1, which lie in one chunk of ``_chunk_ranges``: the low-only
+    sum, plus the high-only sum, plus each straddling cube's energy."""
     grid = _grid(model, box)
-    low_digits, low_codes = _low_table(model, box)
-    chunk, low = divmod(start, len(low_digits))
-    if low + stop - start > len(low_digits):
+    low = _low_table(model, box)
+    chunk, first = divmod(start, len(low.digits))
+    if first + stop - start > len(low.digits):
         raise ValueError(f"indices {start}..{stop - 1} span two chunks")
-    high = digits_of(chunk * len(low_digits), model.q, box.size)
-    rows = slice(low, low + stop - start)
-    digits = low_digits[rows] + high
-    codes = low_codes[rows] + grid.codes(high, exterior - 1)
-    u = grid.tables.u
-    energies = u[codes].sum(axis=1) - len(grid.bx.cubes) * grid.tables.u_min
-    return digits, codes, energies
+    rows = slice(first, first + stop - start)
+    high = digits_of(chunk * len(low.digits), model.q, box.size)
+    high_codes = grid.codes(high, exterior - 1).astype(low.codes.dtype)
+    energies = low.low_energy[exterior - 1, rows] + np.take(
+        low.u, high_codes[low.high_only]).sum()
+    for column, code in zip(low.straddle_codes, high_codes[low.straddle]):
+        energies += np.take(low.u, column[rows] + code)
+    return energies, high, rows
+
+
+def _chunk_rows(model: ModelSpec, box: Box, exterior: int, start: int, stop: int):
+    """(digits, cube codes, relative energies) of one chunk, in the low table's
+    dtypes: a digit is below q and a code below pattern_count."""
+    energies, high, rows = _chunk_energies(model, box, exterior, start, stop)
+    low = _low_table(model, box)
+    high_codes = _grid(model, box).codes(high, exterior - 1)
+    return (low.digits[rows] + high.astype(low.digits.dtype),
+            low.codes[rows] + high_codes.astype(low.codes.dtype), energies)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -179,6 +215,8 @@ def _pool_size(workers: int, tasks: int) -> int:
 def _run_chunks(task, head: tuple, workers: int):
     """Yield ``task(head + (start, stop))`` for every chunk, in chunk order;
     head starts with the model and the box."""
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     q, n = head[0].q, head[1].size
     argses = (head + chunk for chunk in _chunk_ranges(q, n))
     workers = _pool_size(workers, q ** (n - _low_digit_count(q, n)))
@@ -210,9 +248,11 @@ def _dist_task(args):
     """Over one chunk, at each beta: the weight sum and, for each group of
     flat site indices, the weights binned by the group's base-q code."""
     model, box, exterior, betas, groups, start, stop = args
-    digits, _, energies = _chunk_energies(model, box, exterior, start, stop)
+    energies, high, rows = _chunk_energies(model, box, exterior, start, stop)
+    low_digits = _low_table(model, box).digits[rows]
     q = model.q
-    codes = [digits[:, list(group)] @ q ** np.arange(len(group)) for group in groups]
+    powers = [q ** np.arange(len(group)) for group in groups]
+    codes = [low_digits[:, list(g)] @ p + high[list(g)] @ p for g, p in zip(groups, powers)]
     out = []
     for beta in betas:
         w = np.exp(-beta * energies)
@@ -321,7 +361,7 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
 def _contour_task(args):
     model, box, exterior, betas, start, stop = args
     grid = _grid(model, box)
-    digits, codes, energies = _chunk_energies(model, box, exterior, start, stop)
+    digits, codes, energies = _chunk_rows(model, box, exterior, start, stop)
     weights = [np.exp(-beta * energies) for beta in betas]
     z_parts = tuple(float(w.sum()) for w in weights)
     stats = {}
@@ -440,7 +480,7 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
     all_contours = []
     ext_digit = exterior - 1
     for start, stop in _chunk_ranges(model.q, box.size):
-        digits, codes, e = _chunk_energies(model, box, exterior, start, stop)
+        digits, codes, e = _chunk_rows(model, box, exterior, start, stop)
         energies[start:stop] = e
         digit_rows = digits.tolist()
         improper_rows = grid.tables.improper[codes].tolist()

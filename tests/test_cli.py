@@ -211,6 +211,12 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
      "--budget", "-1"],
     ["model-check", "--builtin", "ising", "--budget", "-1"],
     ["census", "--n-max", "2", "--budget", "-1"],
+    ["verify", "--builtin", "ising", "--box", "2x2", "--betas", "1",
+     "--workers", "-3"],
+    ["coexist", "--builtin", "ising", "--boxes", "2x2", "--betas", "1",
+     "--workers", "0"],
+    ["rerun", str(Path(__file__).parent / "manifests" / "verify.json"),
+     "--workers", "0"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -226,6 +226,16 @@ def test_dlr_consistency(ising):
         dlr_consistency(ens, Box((2, 2), (3, 3)))
 
 
+def test_workers_below_one_are_refused(ising):
+    ens = FiniteVolumeEnsemble(box=Box((0, 0), (1, 1)), exterior=1, beta=1.0,
+                               model=ising)
+    for workers in (0, -3):
+        with pytest.raises(InputError):
+            enumerate_distribution(ens, workers=workers)
+        with pytest.raises(InputError):
+            contour_statistics(ising, ens.box, 1, [1.0], workers=workers)
+
+
 def test_workers_agree_with_sequential(ising):
     # 3x5 box: 2^15 configurations, several chunks, so the pool really runs
     box = Box((0, 0), (2, 4))

@@ -5,8 +5,9 @@ on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
 Exact sweeps also need certified ground states, so the marginal sweep test
 adds a tenth of such a model to the Potts or excited Potts terms.
-The last two tests bound the memory that building the pattern tables takes
-and that a box grid keeps, on one large built-in model.
+The last three tests bound the memory that building the pattern tables takes
+and that a box grid keeps, on one large built-in model, and the memory one
+warm chunk of the marginal sweep takes.
 """
 
 import itertools
@@ -14,14 +15,16 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
                      ModelSpec, check_symmetry, coexistence_gap, containing_cube_count,
                      dlr_consistency, enumerate_distribution, excited_potts_model,
-                     marginal_trend, potts_model, require_certified)
+                     ising_model, marginal_trend, potts_model, require_certified)
 from peierls.contours import _grid
-from peierls.exact import _chunk_energies, _chunk_ranges, config_from_index, full_sweep
+from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _low_digit_count,
+                           _low_table, config_from_index, full_sweep)
 from peierls.lattice import cubes_meeting_box
 from peierls.model import _tables, cube_sites, digits_of, permute_spins
 
@@ -70,14 +73,30 @@ def cases(draw):
     return q, r, s, shape, draw(st.integers(0, 2 ** 32 - 1))
 
 
+# Pinned chunk-kernel cases (q, r, s, shape, seed) with their picks.  In the
+# last two a straddling cube and a low-only cube read the exterior, and the
+# exterior is 2, whose digit adds a nonzero share to their codes.
+PINNED = [
+    ((2, 1, 2, (3, 5), 0), [0.0, 0.5, 0.9999]),
+    ((2, 2, 1, (4, 4), 1), [0.3, 0.7, 1.0]),
+    ((3, 1, 3, (3, 3), 2), [0.0, 0.4, 0.7, 1.0]),
+    ((3, 2, 2, (3, 3), 3), [0.2, 0.6, 0.99]),
+    ((2, 2, 2, (4, 4), 1), [0.0, 0.3, 0.6, 0.9]),
+    ((3, 1, 2, (3, 3), 1), [0.0, 0.35, 0.7, 1.0]),
+]
+
+
+def pinned_examples(test):
+    for case, picks in PINNED:
+        test = example(case=case, picks=picks)(test)
+    return test
+
+
 # deadline=None: an example's first call builds the pattern tables of a new
 # model and the low table of a new box, which takes longer than its later ones.
 @settings(max_examples=30, deadline=None, database=None)
 @given(case=cases(), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-@example(case=(2, 1, 2, (3, 5), 0), picks=[0.0, 0.5, 0.9999])
-@example(case=(2, 2, 1, (4, 4), 1), picks=[0.3, 0.7, 1.0])
-@example(case=(3, 1, 3, (3, 3), 2), picks=[0.0, 0.4, 0.7, 1.0])
-@example(case=(3, 2, 2, (3, 3), 3), picks=[0.2, 0.6, 0.99])
+@pinned_examples
 def test_chunk_energies_match_a_cube_by_cube_oracle(case, picks):
     q, r, s, shape, seed = case
     model = symmetric_model(q, r, s, seed)
@@ -89,7 +108,7 @@ def test_chunk_energies_match_a_cube_by_cube_oracle(case, picks):
     chunks = list(_chunk_ranges(q, box.size))
     assert chunks[0][0] == 0 and chunks[-1][1] == count
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    parts = [_chunk_energies(model, box, exterior, a, b) for a, b in chunks]
+    parts = [_chunk_rows(model, box, exterior, a, b) for a, b in chunks]
     digits = np.concatenate([p[0] for p in parts])
     energies = np.concatenate([p[2] for p in parts])
     # every index appears once, in order, with its own digits
@@ -99,6 +118,28 @@ def test_chunk_energies_match_a_cube_by_cube_oracle(case, picks):
         index = min(int(pick * count), count - 1)
         want, scale = oracle_energy(model, box, exterior, index)
         assert abs(energies[index] - want) <= 1e-12 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("case", [case for case, _ in PINNED])
+def test_cube_classes_partition_the_cubes(case):
+    q, r, s, shape, seed = case
+    model = symmetric_model(q, r, s, seed)
+    box = Box.from_shape(shape)
+    low = _low_table(model, box)
+    a, n = _low_digit_count(q, box.size), box.size
+    # a cube's row of flat indices, n standing for the exterior
+    rows = _grid(model, box).bx.cube_index.tolist()
+    reads_low = {j for j, row in enumerate(rows) if any(k < a for k in row)}
+    reads_high = {j for j, row in enumerate(rows) if any(a <= k < n for k in row)}
+    assert sorted(low.low_only) == sorted(set(range(len(rows))) - reads_high)
+    assert sorted(low.straddle) == sorted(reads_low & reads_high)
+    assert sorted(low.high_only) == sorted(set(range(len(rows))) - reads_low)
+    assert sorted(np.concatenate([low.low_only, low.straddle, low.high_only])) == \
+        list(range(len(rows)))
+    if case in dict(PINNED[-2:]):
+        reads_exterior = {j for j, row in enumerate(rows) if n in row}
+        assert 1 + seed % s == 2
+        assert reads_exterior & set(low.straddle) and reads_exterior & set(low.low_only)
 
 
 def oracle_cube_energy(model: ModelSpec, code: int) -> tuple:
@@ -238,3 +279,13 @@ def test_a_grid_keeps_no_copy_of_the_tables():
     _, kept = traced_peak_and_kept(
         lambda: _grid(model, Box.from_shape((2, 2), lower=(11, -5))))
     assert kept < 1e6
+
+
+def test_a_warm_marginal_chunk_builds_no_whole_digit_rows():
+    # ising 4x5, the chunk of indices 3 * 2^14 .. 4 * 2^14: int64 digit and
+    # code rows for its 2^14 configurations would take 6.6 MB
+    args = (ising_model(), Box.from_shape((4, 5)), 1, (0.5, 1.0, 2.0), ((7,),),
+            3 << 14, 4 << 14)
+    _dist_task(args)
+    peak, _ = traced_peak_and_kept(lambda: _dist_task(args))
+    assert peak < 3e6
