@@ -7,17 +7,18 @@ all sites in a random order.
 
 Randomness is counter-based (Philox): the uniforms consumed for the sites of
 sweep t come from a stream keyed by (seed, salt, t) and indexed by site, and
-the visit order comes from a separate stream, so a chain is a pure function
-of its spec and replicas with different seeds are independent by key.  A
-chain builds one Philox generator and, before each draw, sets its key and
-counter to the start of the stream it reads, which gives bit for bit the
-uniforms of a generator built afresh for every stream.
+the visit order is a ``shuffle`` drawn from a separate stream, so a chain is
+a pure function of its spec and replicas with different seeds are
+independent by key.  A chain builds one Philox generator and, before each
+draw, sets its key and counter to the start of the stream it reads, which
+gives bit for bit the uniforms of a generator built afresh for every stream.
 
-The heat-bath conditional at a site depends only on the powers of q at the
-site's positions in its cubes and on the current codes of those cubes, so
-each chain caches the conditional's inversion thresholds under that key.
-The cache is bounded: past ``_CACHE_CAP`` entries a conditional is computed
-and not stored, so the cache never changes a chain, only its speed.
+The heat-bath conditional at a site depends only on the digits at its ball
+offsets (every site meets its cubes in the same order), so a heat-bath chain
+keeps them per site as one base-q integer key, moved by precomputed steps on
+each flip, and caches the conditional's inversion thresholds under the key.
+The cache is bounded, and a chain whose lookups mostly miss drops it; the
+cache never changes a chain, only its speed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -34,17 +34,19 @@ import numpy as np
 from .contours import Configuration, contours as extract_contours, _grid
 from .errors import InputError
 from .exact import FiniteVolumeEnsemble
-from .lattice import Box, Site
+from .lattice import Box, Site, ball_offsets
 from .model import ModelSpec, require_certified
 
 _SALT_HEAT = 0x68656174          # site-update uniforms
 _SALT_ORDER = 0x6f72646572       # visit order
 _SALT_PROPOSE = 0x70726f70       # metropolis proposals
 
-# Heat-bath conditionals stored per chain.  Where the cube codes around a
-# site rarely repeat (potts:q=3,r=2 at beta 0.3 misses on 94% of updates),
-# an unbounded cache would grow by one entry per update.
+# Heat-bath conditionals stored per chain, and the lookups after which a
+# chain that missed on more than 7/8 of them goes uncached: there the keys
+# and lookups cost more than the hits save (potts:q=3,r=2 at beta 0.3 misses
+# on 90%).
 _CACHE_CAP = 1 << 16
+_CACHE_TRIAL = 4096
 
 KERNELS = ("heat-bath", "metropolis")
 
@@ -73,17 +75,14 @@ class ChainSpec:
         return self.burn_in + self.samples * self.thinning
 
 
-def _stream(rng: np.random.Generator, seed: int, salt: int,
+def _stream(rng: np.random.Generator, state: dict, salt: int,
             sweep: int) -> np.random.Generator:
     """Position the Philox generator ``rng`` at the start of the stream keyed
-    by (seed, salt) with counter sweep, its output buffer empty."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, sweep],
-                  "key": [seed & 0xFFFFFFFFFFFFFFFF, salt]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+    by (seed, salt) with counter sweep, through the chain's ``state`` dict."""
+    inner = state["state"]
+    inner["counter"][3] = sweep
+    inner["key"][1] = salt
+    rng.bit_generator.state = state
     return rng
 
 
@@ -91,11 +90,11 @@ class _ChainState:
     """Mutable spins plus incrementally maintained cube codes and energy.
 
     ``beta`` is fixed for the life of the state: the heat-bath cache holds
-    conditionals at that inverse temperature.
+    conditionals at that inverse temperature, under keys kept if ``keyed``.
     """
 
     def __init__(self, model: ModelSpec, box: Box, exterior: int,
-                 beta: float = 0.0):
+                 beta: float = 0.0, keyed: bool = False):
         require_certified(model)
         grid = _grid(model, box)
         self.model = model
@@ -107,6 +106,8 @@ class _ChainState:
         self.u = grid.tables.u.tolist()  # site updates read it one cube at a time
         self.u_min = grid.tables.u_min
         self.digits = [exterior - 1] * self.n
+        # int64 spins, written through a memoryview: cheaper than numpy's setitem
+        self.spin_view = memoryview(np.full(self.n, exterior, dtype=np.int64))
         self.codes = grid.codes(self.digits, exterior - 1).tolist()
         # per site: list of (cube index, power of q at its position)
         self.site_cubes = [[] for _ in range(self.n)]
@@ -114,21 +115,27 @@ class _ChainState:
             for k, p in zip(row, grid.tables.powers):
                 if k < self.n:
                     self.site_cubes[k].append((j, p))
-        # per site: (pattern id, getter of the codes of its cubes), where a
-        # pattern is the tuple of powers at the site's positions in its cubes
-        ids = {}
-        self.site_keys = [
-            (ids.setdefault(tuple(p for _, p in cubes), len(ids)),
-             itemgetter(*(j for j, _ in cubes)))
-            for cubes in self.site_cubes]
         self.thresholds = {}
+        self.keys, self.misses = None, 0
+        if keyed:
+            # digit s of a key: the one at ball offset s, the exterior's
+            # outside the box.  key_steps[k] lists (k2, q^s) for each site
+            # k2 that has site k at offset s.
+            offsets = np.array(ball_offsets(model.d, model.r))
+            at = np.indices(box.shape).reshape(model.d, -1).T[:, None] - offsets
+            inside = ((at >= 0) & (at < box.shape)).all(axis=2).tolist()
+            flat = np.ravel_multi_index(np.moveaxis(at, 2, 0), box.shape, mode="clip")
+            weights = [self.q ** s for s in range(len(offsets))]
+            self.keys = [(exterior - 1) * sum(weights)] * self.n
+            self.key_steps = [[(k2, w) for k2, w, i in zip(row, weights, ins) if i]
+                              for row, ins in zip(flat.tolist(), inside)]
 
     def energy(self) -> float:
         u = self.u
         return math.fsum(u[c] for c in self.codes) - len(self.codes) * self.u_min
 
     def spins(self) -> np.ndarray:
-        return np.array(self.digits, dtype=np.int64) + 1
+        return self.spin_view.obj.copy()
 
     def configuration(self) -> Configuration:
         return Configuration(self.box, tuple(d + 1 for d in self.digits),
@@ -141,18 +148,21 @@ class _ChainState:
         codes = self.codes
         for j, p in self.site_cubes[k]:
             codes[j] += delta * p
+        if self.keys is not None:
+            keys = self.keys
+            for k2, w in self.key_steps[k]:
+                keys[k2] += delta * w
         self.digits[k] = digit
+        self.spin_view[k] = digit + 1
 
     def conditional(self, k: int) -> list:
         """Exact single-site conditional probabilities over the q spin values."""
-        u = self.u
-        codes = self.codes
+        u, codes, cubes = self.u, self.codes, self.site_cubes[k]
         cur = self.digits[k]
         energies = []
-        for v in range(self.q):
-            delta = v - cur
+        for delta in range(-cur, self.q - cur):
             e = 0.0
-            for j, p in self.site_cubes[k]:
+            for j, p in cubes:
                 e += u[codes[j] + delta * p]
             energies.append(e)
         lo = min(energies)
@@ -163,15 +173,18 @@ class _ChainState:
     def heat_bath(self, k: int, u01: float) -> None:
         """Redraw site k by inversion: the first value whose cumulative
         conditional probability exceeds u01, else the last value."""
-        pattern, cube_codes = self.site_keys[k]
-        key = (pattern, cube_codes(self.codes))
-        cuts = self.thresholds.get(key)
+        keys = self.keys
+        cuts = None if keys is None else self.thresholds.get(keys[k])
         if cuts is None:
             # cumulative sums of all but the last probability, in order
             cuts = tuple(accumulate(self.conditional(k)[:-1]))
-            if len(self.thresholds) < _CACHE_CAP:
-                self.thresholds[key] = cuts
-        self.set_digit(k, bisect_right(cuts, u01))
+            if keys is not None:
+                self.misses += 1
+                if len(self.thresholds) < _CACHE_CAP:
+                    self.thresholds[keys[k]] = cuts
+        v = bisect_right(cuts, u01)
+        if v != self.digits[k]:
+            self.set_digit(k, v)
 
     def metropolis(self, k: int, u_prop: float, u_acc: float) -> None:
         cur = self.digits[k]
@@ -199,25 +212,32 @@ def _recorded_states(spec: ChainSpec) -> Iterator[_ChainState]:
     """Run the chain of ``spec``, yielding its state after each recorded sweep.
 
     The chain starts from the constant exterior configuration.  Sweep t
-    visits the sites in the order drawn from stream (seed, order salt, t),
+    visits the sites in the order shuffled by stream (seed, order salt, t),
     and site k consumes element k of the sweep's uniform streams.
     """
     ens = spec.ensemble
-    state = _ChainState(ens.model, ens.box, ens.exterior, ens.beta)
     heat = spec.kernel == "heat-bath"
+    state = _ChainState(ens.model, ens.box, ens.exterior, ens.beta, keyed=heat)
     if not heat and state.q < 2:
         raise InputError("metropolis needs q >= 2")
-    n, seed = state.n, spec.seed
+    n, sites = state.n, list(range(state.n))
     heat_bath, metropolis = state.heat_bath, state.metropolis
     rng = np.random.Generator(np.random.Philox(0))  # keyed by every _stream
+    philox = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+              "has_uint32": 0, "uinteger": 0,  # output buffer empty
+              "state": {"counter": [0] * 4, "key": [spec.seed % 2 ** 64, 0]}}
     for t in range(spec.total_sweeps):
-        order = _stream(rng, seed, _SALT_ORDER, t).permutation(n).tolist()
-        us = _stream(rng, seed, _SALT_HEAT, t).random(n).tolist()
+        order = sites.copy()
+        _stream(rng, philox, _SALT_ORDER, t).shuffle(order)
+        us = _stream(rng, philox, _SALT_HEAT, t).random(n).tolist()
         if heat:
             for k in order:
                 heat_bath(k, us[k])
+            lookups = n * (t + 1)
+            if lookups >= _CACHE_TRIAL and 8 * state.misses > 7 * lookups:
+                state.keys = state.key_steps = None
         else:
-            props = _stream(rng, seed, _SALT_PROPOSE, t).random(n).tolist()
+            props = _stream(rng, philox, _SALT_PROPOSE, t).random(n).tolist()
             for k in order:
                 metropolis(k, props[k], us[k])
         kept = t - spec.burn_in + 1

@@ -188,3 +188,75 @@ def test_conditional_cache_cap_cannot_change_a_chain(monkeypatch):
     capped = run_chain(spec, obs, keep_series=True).series
     for name in obs:
         assert np.array_equal(capped[name], uncapped[name])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 256])
+def test_shuffled_order_is_a_fresh_generators_permutation(n):
+    # the chain's visit order: a shuffle of list(range(n)) from the stream
+    # positioned by _stream, against permutation(n) of a generator built for
+    # that stream alone
+    seed = 2024
+    rng = np.random.Generator(np.random.Philox(0))
+    state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0,
+             "state": {"counter": [0] * 4, "key": [seed, 0]}}
+    for salt in (mcmc._SALT_ORDER, mcmc._SALT_HEAT, mcmc._SALT_PROPOSE):
+        for t in range(50):
+            fresh = np.random.Generator(
+                np.random.Philox(key=[seed, salt], counter=[0, 0, 0, t]))
+            order = list(range(n))
+            mcmc._stream(rng, state, salt, t).shuffle(order)
+            assert order == fresh.permutation(n).tolist()
+
+
+def test_mutating_spins_changes_neither_the_chain_nor_the_next_spins():
+    model = builtin_model("potts:q=3")
+    ens = make_ensemble(model, 4, 0.4)
+    spec = ChainSpec(ensemble=ens, seed=8, burn_in=5, samples=40)
+    plain = [state.spins().tolist() for state in mcmc._recorded_states(spec)]
+    seen = []
+    for state in mcmc._recorded_states(spec):
+        spins = state.spins()
+        seen.append(spins.tolist())
+        spins[:] = 9
+        assert state.spins().tolist() == seen[-1]
+        assert state.spins().tolist() == [d + 1 for d in state.digits]
+    assert seen == plain
+    assert len({tuple(s) for s in seen}) > 1  # the chain moved
+
+
+@pytest.mark.parametrize("spec_text", ["potts:q=3", "potts:q=3,r=2"])
+def test_site_conditional_matches_a_from_scratch_conditional(spec_text):
+    model = builtin_model(spec_text)
+    ens = make_ensemble(model, 4, 0.7, exterior=2)
+    for config in random_configs(ens.box, 3, 4, seed=31, exterior=2):
+        assert len(set(config.spins)) == 3  # mixed spins
+        for site in (ens.box.sites()[0], (1, 2), (3, 3)):
+            h = [conditional_hamiltonian(config.replace({site: v}), model)
+                 for v in range(1, 4)]
+            w = [math.exp(-0.7 * (e - min(h))) for e in h]
+            want = [x / math.fsum(w) for x in w]
+            got = site_conditional(ens, config, site)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_heat_bath_cache_stays_below_the_codes_keyed_size(ising):
+    # the key drops the site's own digit, so this chain meets 195 keys;
+    # keyed by the codes of its cubes, own digit included, it met 338
+    ens = make_ensemble(ising, 16, 0.5)
+    spec = ChainSpec(ensemble=ens, seed=1, burn_in=100, samples=2000)
+    for state in mcmc._recorded_states(spec):
+        pass
+    assert state.keys is not None
+    assert len(state.thresholds) < 338
+
+
+def test_a_chain_that_mostly_misses_goes_uncached():
+    model = builtin_model("potts:q=3,r=2")
+    spec = ChainSpec(ensemble=make_ensemble(model, 8, 0.3), seed=1,
+                     burn_in=10, samples=100)
+    keyed = [state.keys is not None for state in mcmc._recorded_states(spec)]
+    assert keyed[0] and not keyed[-1]
+    cold = ChainSpec(ensemble=make_ensemble(model, 8, 1.0), seed=1,
+                     burn_in=10, samples=100)
+    assert all(state.keys is not None for state in mcmc._recorded_states(cold))

@@ -4,7 +4,8 @@ Models are drawn with d = 2, r in {1, 2} and q <= 3: a few interaction terms
 on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
 Exact sweeps also need certified ground states, so the marginal sweep test
-adds a tenth of such a model to the Potts or excited Potts terms.
+adds a tenth of such a model to the Potts or excited Potts terms, and so
+does the test of the Monte Carlo heat-bath keys.
 The last three tests bound the memory that building the pattern tables takes
 and that a box grid keeps, on one large built-in model, and the memory one
 warm chunk of the marginal sweep takes.
@@ -25,7 +26,8 @@ from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
 from peierls.contours import _grid
 from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _low_digit_count,
                            _low_table, config_from_index, full_sweep)
-from peierls.lattice import cubes_meeting_box
+from peierls.lattice import ball_offsets, cubes_meeting_box
+from peierls.mcmc import _ChainState
 from peierls.model import _tables, cube_sites, digits_of, permute_spins
 
 
@@ -250,6 +252,66 @@ def test_marginal_sweep_matches_the_full_sweep(case, beta):
     corner = Box.from_shape(tuple(min(2, side) for side in shape))
     ens = FiniteVolumeEnsemble(box=box, exterior=exterior, beta=beta, model=model)
     assert dlr_consistency(ens, corner) <= 1e-10
+
+
+def scratch_key(state: _ChainState, k: int) -> int:
+    """The heat-bath key of site k from the digits alone: the digit at ball
+    offset s, the exterior's outside the box, times q^s."""
+    box, site = state.box, state.box.sites()[k]
+    key = 0
+    for s, off in enumerate(ball_offsets(box.dimension, state.model.r)):
+        x = tuple(a + b for a, b in zip(site, off))
+        digit = (state.digits[box.index_of(x)] if box.contains(x)
+                 else state.exterior - 1)
+        key += digit * state.q ** s
+    return key
+
+
+@st.composite
+def key_cases(draw):
+    q = draw(st.integers(2, 3))
+    case = (q, draw(st.integers(1, 2)), draw(st.integers(1, q)),
+            draw(st.sampled_from([(1, 1), (1, 3), (2, 3), (3, 3), (4, 5)])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+    moves = draw(st.lists(st.tuples(st.integers(0, 19), st.integers(0, q - 1),
+                                    st.floats(0.0, 1.0)), max_size=40))
+    return case, moves
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=key_cases())
+@example(case=((2, 1, 2, (3, 3), 1), [(k, 1, 0.5) for k in range(9)]))
+@example(case=((3, 2, 3, (4, 5), 2), [(k, (k * 7) % 3, 0.3) for k in range(20)]
+               + [(k, 0, 0.9) for k in range(20)]))
+def test_heat_bath_keys_follow_the_digits(case):
+    # a move (k, v, u) sets site k's digit to v when u < 1/2, else redraws
+    # it by heat bath with uniform u
+    (q, r, s, shape, seed), moves = case
+    model = certified_symmetric_model(q, r, s, seed)
+    box = Box.from_shape(shape)
+    exterior = 1 + seed % s
+    state = _ChainState(model, box, exterior, 0.9, keyed=True)
+    grid = _grid(model, box)
+    # every site meets its cubes in the same order, so equal keys mean equal
+    # sums, term by term, in the conditional
+    assert len({tuple(p for _, p in cubes) for cubes in state.site_cubes}) == 1
+    for k, v, u in moves:
+        k %= box.size
+        if u < 0.5:
+            state.set_digit(k, v)
+        else:
+            state.heat_bath(k, u)
+        assert state.codes == grid.codes(state.digits, exterior - 1).tolist()
+        assert state.keys == [scratch_key(state, j) for j in range(box.size)]
+        # a site's key does not move with its own digit
+        before = state.keys[k]
+        state.set_digit(k, (state.digits[k] + 1) % q)
+        assert state.keys[k] == before
+        assert state.keys == [scratch_key(state, j) for j in range(box.size)]
+    for k in range(box.size):
+        cuts = state.thresholds.get(state.keys[k])
+        if cuts is not None:
+            assert cuts == tuple(itertools.accumulate(state.conditional(k)[:-1]))
 
 
 def traced_peak_and_kept(fn) -> tuple:
