@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .contours import Configuration, Contour, _label_components, contours as extract_contours
+from .contours import (Configuration, Contour, _box_index, _label_components,
+                       contours as extract_contours)
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site, ball_offsets, cubes_meeting
 from .model import ModelSpec, require_certified
@@ -307,16 +308,6 @@ class ConnectorReport:
     exact: bool
 
 
-def _anchor_graph(anchors: Sequence[Site], r: int):
-    lo = tuple(min(a[k] for a in anchors) for k in range(len(anchors[0])))
-    hi = tuple(max(a[k] for a in anchors) for k in range(len(anchors[0])))
-    hull = list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
-    index = {a: i for i, a in enumerate(hull)}
-    graph = CubeGraph(len(lo), r)
-    adj = [[index[b] for b in graph.neighbors(a) if b in index] for a in hull]
-    return hull, index, adj
-
-
 def _steiner_min_vertices(adj, terminals: Sequence[int]) -> int:
     """Minimum vertex count of a connected subgraph containing the terminals.
 
@@ -417,8 +408,9 @@ def verify_connector_bound(gamma: Contour, exact_limit: int = 8) -> ConnectorRep
         raise InputError("contour with no improper cubes")
     r = next(iter(gamma.improper_cubes)).r
     bound = 2 * len(anchors)
-    hull, index, adj = _anchor_graph(anchors, r)
-    terminals = [index[a] for a in anchors]
+    hull = Box(tuple(map(min, zip(*anchors))), tuple(map(max, zip(*anchors))))
+    adj = _box_index(hull, r).ball
+    terminals = [hull.index_of(a) for a in anchors]
     if max(_label_components(terminals, adj).values()) == 0:
         return ConnectorReport(connector_size=len(anchors), bound=bound,
                                passes=True, exact=True)

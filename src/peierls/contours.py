@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .lattice import Box, Site, ball_offsets, chebyshev_distance, cubes_meeting_box
+from .lattice import Box, Site, ball_offsets, cubes_meeting_box
 from .model import ModelSpec, _tables, require_certified, _validate_config
 
 
@@ -129,42 +129,38 @@ class Boundary:
 # ---------------------------------------------------------------------------
 
 class _BoxIndex:
-    """Flat-array view of a box: site list, adjacency lists, cube index.
+    """Flat-array view of a box: site list, ball table and cube table.
 
-    ``cube_index`` has one row per cube meeting the box and one column per
-    cube site, in the canonical cube site order; an entry is the flat index of
-    that site, or n for a site outside the box, which reads the exterior spin.
-    ``cube_site_idx`` lists each cube's sites inside the box.
+    In both tables an entry is the flat index of a site, or n for a site
+    outside the box, which reads the exterior spin.  ``ball_index`` has a row
+    per site and a column per ``ball_offsets(d, r)`` offset: the distance-r
+    neighbourhood that connects contours and keys the heat-bath conditional.
+    ``cube_index`` has a row per cube meeting the box and a column per cube
+    site, in the canonical cube site order.  ``ball`` and ``cube_site_idx``
+    list each row's sites inside the box.
     """
 
-    __slots__ = ("box", "r", "sites", "n", "moore", "ball", "cubes",
-                 "cube_index", "cube_site_idx")
+    __slots__ = ("sites", "n", "ball_index", "ball", "cubes", "cube_index",
+                 "cube_site_idx")
 
     def __init__(self, box: Box, r: int):
-        self.box = box
-        self.r = r
         self.sites = box.sites()
         self.n = len(self.sites)
         index = {site: k for k, site in enumerate(self.sites)}
 
-        def neighbors(radius):
-            offs = ball_offsets(box.dimension, radius)
-            table = []
-            for site in self.sites:
-                table.append(tuple(
-                    index[n] for n in (tuple(a + b for a, b in zip(site, o)) for o in offs)
-                    if n in index))
-            return tuple(table)
+        def table(rows):
+            flat = [[index.get(site, self.n) for site in row] for row in rows]
+            array = np.array(flat, dtype=np.int64)
+            array.flags.writeable = False
+            return array, tuple(tuple(k for k in row if k < self.n) for row in flat)
 
-        self.moore = neighbors(1)
-        self.ball = self.moore if r == 1 else neighbors(r)
+        offsets = ball_offsets(box.dimension, r)
+        self.ball_index, self.ball = table(
+            [tuple(a + b for a, b in zip(site, o)) for o in offsets]
+            for site in self.sites)
         self.cubes = cubes_meeting_box(box, r)
-        rows = [[index.get(site, self.n) for site in cube.sites()]
-                for cube in self.cubes]
-        self.cube_index = np.array(rows, dtype=np.int64)
-        self.cube_index.flags.writeable = False
-        self.cube_site_idx = tuple(tuple(k for k in row if k < self.n)
-                                   for row in rows)
+        self.cube_index, self.cube_site_idx = table(
+            cube.sites() for cube in self.cubes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -275,7 +271,7 @@ def subcontours(config: Configuration) -> list:
     spins = config.spins
     ext = config.exterior
     dev = [k for k in range(bx.n) if spins[k] != ext]
-    labels = _label_components(dev, bx.moore,
+    labels = _label_components(dev, bx.ball,
                                restrict=lambda a, b: spins[a] == spins[b])
     groups = {}
     for k, c in labels.items():
@@ -368,12 +364,12 @@ def remove_contour(config: Configuration, gamma: Contour) -> Configuration:
     if not gamma.improper_cubes:
         raise InputError("contour with no improper cubes")
     r = next(iter(gamma.improper_cubes)).r
-    interior = gamma.interior
-    for site in config.box.sites():
-        if site in interior or config.spin_at(site) == ext:
-            continue
-        if min(chebyshev_distance(site, t) for t in interior) <= r:
-            raise InputError(
-                f"deviating site {site} within distance {r} of the interior: "
-                "the given set is not a whole contour of the configuration")
-    return config.replace({site: ext for site in interior})
+    bx = _box_index(config.box, r)
+    inner = {config.box.index_of(site) for site in gamma.interior}
+    near = [k for j in inner for k in bx.ball[j]
+            if k not in inner and config.spins[k] != ext]
+    if near:
+        raise InputError(
+            f"deviating site {bx.sites[min(near)]} within distance {r} of the "
+            "interior: the given set is not a whole contour of the configuration")
+    return config.replace({site: ext for site in gamma.interior})

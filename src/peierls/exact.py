@@ -359,25 +359,22 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
 # ---------------------------------------------------------------------------
 
 def _contour_task(args):
+    """Over one chunk: the weight sum at each beta and, for each contour, its
+    size and the weight sums of the configurations holding it, one per beta."""
     model, box, exterior, betas, start, stop = args
     grid = _grid(model, box)
     digits, codes, energies = _chunk_rows(model, box, exterior, start, stop)
     weights = [np.exp(-beta * energies) for beta in betas]
-    z_parts = tuple(float(w.sum()) for w in weights)
-    stats = {}
-    ext_digit = exterior - 1
-    digit_rows = digits.tolist()
-    improper_rows = grid.tables.improper[codes].tolist()
-    for row_i in range(len(digit_rows)):
-        lights = _light_contours(digit_rows[row_i], ext_digit, improper_rows[row_i], grid)
-        for serial, size in lights:
-            entry = stats.get(serial)
-            if entry is None:
-                entry = [size] + [0.0] * len(betas)
-                stats[serial] = entry
-            for bi in range(len(betas)):
-                entry[bi + 1] += float(weights[bi][row_i])
-    return z_parts, stats
+    ids, pairs = {}, []  # serial -> (contour id, size); (contour id, row)
+    improper = grid.tables.improper[codes].tolist()
+    for row, (digit_row, flags) in enumerate(zip(digits.tolist(), improper)):
+        for serial, size in _light_contours(digit_row, exterior - 1, flags, grid):
+            pairs.append((ids.setdefault(serial, (len(ids), size))[0], row))
+    contour, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    sums = np.stack([np.bincount(contour, weights=w[rows], minlength=len(ids))
+                     for w in weights], axis=1)
+    return (tuple(float(w.sum()) for w in weights),
+            {serial: (size, sums[c]) for serial, (c, size) in ids.items()})
 
 
 def contour_statistics(model: ModelSpec, box: Box, exterior: int,
@@ -396,21 +393,16 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     for chunk_zs, stats in _run_chunks(_contour_task, (model, box, exterior,
                                                        tuple(betas)), workers):
         z_parts.append(chunk_zs)
-        for serial, entry in stats.items():
+        for serial, (size, sums) in stats.items():
             acc = merged.get(serial)
-            if acc is None:
-                merged[serial] = list(entry)
-            else:
-                for bi in range(len(betas)):
-                    acc[bi + 1] += entry[bi + 1]
+            merged[serial] = (size, sums if acc is None else acc[1] + sums)
         del stats  # free this chunk's records before the next chunk runs
-    zs =[math.fsum(p[bi] for p in z_parts) for bi in range(len(betas))]
+    zs = [math.fsum(p[bi] for p in z_parts) for bi in range(len(betas))]
     out = []
     for bi, beta in enumerate(betas):
         records = []
-        for serial, entry in merged.items():
-            size = entry[0]
-            p = entry[bi + 1] / zs[bi]
+        for serial, (size, sums) in merged.items():
+            p = float(sums[bi]) / zs[bi]
             records.append(ContourRecord(
                 contour=serial, size=size, probability=p,
                 bound=math.exp(-beta * report.gap * size)))

@@ -15,10 +15,10 @@ gives bit for bit the uniforms of a generator built afresh for every stream.
 
 The heat-bath conditional at a site depends only on the digits at its ball
 offsets (every site meets its cubes in the same order), so a heat-bath chain
-keeps them per site as one base-q integer key, moved by precomputed steps on
-each flip, and caches the conditional's inversion thresholds under the key.
-The cache is bounded, and a chain whose lookups mostly miss drops it; the
-cache never changes a chain, only its speed.
+keeps them per site as one base-q integer key, moved on each flip by steps
+read off the box's ball table, and caches the conditional's inversion
+thresholds under the key.  The cache is bounded, and a chain whose lookups
+mostly miss drops it; the cache never changes a chain, only its speed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .contours import Configuration, contours as extract_contours, _grid
 from .errors import InputError
 from .exact import FiniteVolumeEnsemble
-from .lattice import Box, Site, ball_offsets
+from .lattice import Box, Site
 from .model import ModelSpec, require_certified
 
 _SALT_HEAT = 0x68656174          # site-update uniforms
@@ -86,6 +86,17 @@ def _stream(rng: np.random.Generator, state: dict, salt: int,
     return rng
 
 
+def _steps(index: np.ndarray, weights: Sequence[int], n: int) -> list:
+    """For each site k, the (row, column weight) pairs of the entries k of a
+    flat-index table, in row order; entries n, outside the box, drop out."""
+    steps = [[] for _ in range(n)]
+    for row, sites in enumerate(index.tolist()):
+        for k, w in zip(sites, weights):
+            if k < n:
+                steps[k].append((row, w))
+    return steps
+
+
 class _ChainState:
     """Mutable spins plus incrementally maintained cube codes and energy.
 
@@ -109,26 +120,17 @@ class _ChainState:
         # int64 spins, written through a memoryview: cheaper than numpy's setitem
         self.spin_view = memoryview(np.full(self.n, exterior, dtype=np.int64))
         self.codes = grid.codes(self.digits, exterior - 1).tolist()
-        # per site: list of (cube index, power of q at its position)
-        self.site_cubes = [[] for _ in range(self.n)]
-        for j, row in enumerate(grid.bx.cube_index.tolist()):
-            for k, p in zip(row, grid.tables.powers):
-                if k < self.n:
-                    self.site_cubes[k].append((j, p))
+        # per site: (cube index, power of q at its position) for each cube
+        self.site_cubes = _steps(grid.bx.cube_index, grid.tables.powers, self.n)
         self.thresholds = {}
         self.keys, self.misses = None, 0
         if keyed:
             # digit s of a key: the one at ball offset s, the exterior's
             # outside the box.  key_steps[k] lists (k2, q^s) for each site
             # k2 that has site k at offset s.
-            offsets = np.array(ball_offsets(model.d, model.r))
-            at = np.indices(box.shape).reshape(model.d, -1).T[:, None] - offsets
-            inside = ((at >= 0) & (at < box.shape)).all(axis=2).tolist()
-            flat = np.ravel_multi_index(np.moveaxis(at, 2, 0), box.shape, mode="clip")
-            weights = [self.q ** s for s in range(len(offsets))]
+            weights = [self.q ** s for s in range(grid.bx.ball_index.shape[1])]
             self.keys = [(exterior - 1) * sum(weights)] * self.n
-            self.key_steps = [[(k2, w) for k2, w, i in zip(row, weights, ins) if i]
-                              for row, ins in zip(flat.tolist(), inside)]
+            self.key_steps = _steps(grid.bx.ball_index, weights, self.n)
 
     def energy(self) -> float:
         u = self.u
@@ -234,8 +236,10 @@ def _recorded_states(spec: ChainSpec) -> Iterator[_ChainState]:
             for k in order:
                 heat_bath(k, us[k])
             lookups = n * (t + 1)
-            if lookups >= _CACHE_TRIAL and 8 * state.misses > 7 * lookups:
+            if (state.keys is not None and lookups >= _CACHE_TRIAL
+                    and 8 * state.misses > 7 * lookups):
                 state.keys = state.key_steps = None
+                state.thresholds.clear()
         else:
             props = _stream(rng, philox, _SALT_PROPOSE, t).random(n).tolist()
             for k in order:

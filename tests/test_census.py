@@ -8,8 +8,8 @@ from peierls import (Box, CapacityError, Configuration, InputError,
                      contour_roundtrip_mismatches, contours, max_degree,
                      potts_model, rooted_contour_counts, rooted_subgraph_counts,
                      subgraph_census, verify_connector_bound)
-from peierls.census import ConnectorReport, _anchor_graph, _steiner_min_vertices
-from peierls.contours import _label_components
+from peierls.census import ConnectorReport, _steiner_min_vertices
+from peierls.contours import _box_index, _label_components
 from peierls.exact import full_sweep
 
 
@@ -178,6 +178,13 @@ def test_contour_counts_need_interior_cap_for_unusual_geometry():
 # ---------------------------------------------------------------------------
 # Connectors
 # ---------------------------------------------------------------------------
+
+def _anchor_graph(anchors, r):
+    """The anchors' hull, its site -> flat index map and its ball adjacency."""
+    bx = _box_index(Box(tuple(map(min, zip(*anchors))),
+                        tuple(map(max, zip(*anchors)))), r)
+    return bx.sites, {a: i for i, a in enumerate(bx.sites)}, bx.ball
+
 
 def brute_min_connector(anchors, r):
     """Smallest connected superset of the terminals within their hull."""

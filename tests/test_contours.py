@@ -8,7 +8,9 @@ from peierls import (Box, CertificationError, Configuration, InputError,
                      conditional_hamiltonian, contours, cubes_meeting,
                      potts_model, remove_contour, subcontours,
                      verify_ground_states)
+from peierls.contours import _box_index
 from peierls.exact import config_from_index, full_sweep
+from peierls.lattice import ball_offsets
 
 from conftest import random_configs, single_flip
 
@@ -190,6 +192,39 @@ def test_remove_contour_rejects_partial_cluster(potts3):
     lone = contours(single_flip(box, (1, 1)), potts3)[0]
     with pytest.raises(InputError):
         remove_contour(config, lone)
+
+
+def test_remove_contour_refuses_a_leftover_at_distance_r():
+    # at r = 2 a deviating site two steps from the interior joins its
+    # contour, and the first such site in row-major order is named
+    model = potts_model(r=2, q=2)
+    box = Box((0, 0), (4, 4))
+    lone = contours(single_flip(box, (1, 1)), model)[0]
+    far = Configuration.constant(box, 1).replace({(1, 1): 2, (4, 4): 2})
+    assert remove_contour(far, lone) == single_flip(box, (4, 4))
+    config = Configuration.constant(box, 1).replace({(1, 1): 2, (3, 1): 2,
+                                                     (1, 3): 2})
+    with pytest.raises(InputError, match=r"deviating site \(1, 3\) within distance 2"):
+        remove_contour(config, lone)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("lower, upper", [
+    ((0, 0), (3, 2)), ((-2, 3), (0, 3)), ((5, 5), (5, 5)),
+    ((0, 0, 0), (1, 2, 0)), ((-2, 3, 1), (-1, 5, 2))])
+def test_ball_index_matches_a_brute_force(lower, upper, r):
+    box = Box(lower, upper)
+    bx = _box_index(box, r)
+    sites = box.sites()
+    want = [[box.index_of(x) if box.contains(x) else box.size
+             for x in (tuple(a + b for a, b in zip(site, off))
+                       for off in ball_offsets(box.dimension, r))]
+            for site in sites]
+    assert bx.ball_index.tolist() == want
+    # offsets run in lexicographic order, and so do the sites they reach
+    assert bx.ball == tuple(
+        tuple(j for j, y in enumerate(sites) if 0 < chebyshev_distance(x, y) <= r)
+        for x in sites)
 
 
 def test_energy_drop_at_least_gap_times_size(ising):

@@ -182,9 +182,13 @@ def test_conditional_cache_cap_cannot_change_a_chain(monkeypatch):
     uncapped = run_chain(spec, obs, keep_series=True).series
     cap = 5
     monkeypatch.setattr(mcmc, "_CACHE_CAP", cap)
-    # entries are never evicted, so the size after the last sweep bounds it
-    sizes = [len(state.thresholds) for state in mcmc._recorded_states(spec)]
-    assert sizes[-1] == cap
+    # entries are never evicted, so the cache holds cap entries until the
+    # chain goes uncached (sweep 113 of 220) and drops them
+    sizes = []
+    for state in mcmc._recorded_states(spec):
+        sizes.append(len(state.thresholds))
+    assert max(sizes) == cap
+    assert state.keys is None and state.thresholds == {}
     capped = run_chain(spec, obs, keep_series=True).series
     for name in obs:
         assert np.array_equal(capped[name], uncapped[name])

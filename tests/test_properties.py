@@ -5,7 +5,8 @@ on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
 Exact sweeps also need certified ground states, so the marginal sweep test
 adds a tenth of such a model to the Potts or excited Potts terms, and so
-does the test of the Monte Carlo heat-bath keys.
+does the test of the Monte Carlo heat-bath keys; the keys are also tested
+on the d = 3 Potts model.
 The last three tests bound the memory that building the pattern tables takes
 and that a box grid keeps, on one large built-in model, and the memory one
 warm chunk of the marginal sweep takes.
@@ -267,31 +268,12 @@ def scratch_key(state: _ChainState, k: int) -> int:
     return key
 
 
-@st.composite
-def key_cases(draw):
-    q = draw(st.integers(2, 3))
-    case = (q, draw(st.integers(1, 2)), draw(st.integers(1, q)),
-            draw(st.sampled_from([(1, 1), (1, 3), (2, 3), (3, 3), (4, 5)])),
-            draw(st.integers(0, 2 ** 32 - 1)))
-    moves = draw(st.lists(st.tuples(st.integers(0, 19), st.integers(0, q - 1),
-                                    st.floats(0.0, 1.0)), max_size=40))
-    return case, moves
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(case=key_cases())
-@example(case=((2, 1, 2, (3, 3), 1), [(k, 1, 0.5) for k in range(9)]))
-@example(case=((3, 2, 3, (4, 5), 2), [(k, (k * 7) % 3, 0.3) for k in range(20)]
-               + [(k, 0, 0.9) for k in range(20)]))
-def test_heat_bath_keys_follow_the_digits(case):
-    # a move (k, v, u) sets site k's digit to v when u < 1/2, else redraws
-    # it by heat bath with uniform u
-    (q, r, s, shape, seed), moves = case
-    model = certified_symmetric_model(q, r, s, seed)
-    box = Box.from_shape(shape)
-    exterior = 1 + seed % s
-    state = _ChainState(model, box, exterior, 0.9, keyed=True)
-    grid = _grid(model, box)
+def follow_key_moves(state: _ChainState, moves) -> None:
+    """Apply each move (k, v, u) to a keyed chain state: set site k's digit
+    to v when u < 1/2, else redraw it by heat bath with uniform u.  After
+    every move the codes and keys equal ones computed from the digits."""
+    box, q, exterior = state.box, state.q, state.exterior
+    grid = _grid(state.model, box)
     # every site meets its cubes in the same order, so equal keys mean equal
     # sums, term by term, in the conditional
     assert len({tuple(p for _, p in cubes) for cubes in state.site_cubes}) == 1
@@ -312,6 +294,38 @@ def test_heat_bath_keys_follow_the_digits(case):
         cuts = state.thresholds.get(state.keys[k])
         if cuts is not None:
             assert cuts == tuple(itertools.accumulate(state.conditional(k)[:-1]))
+
+
+@st.composite
+def key_cases(draw):
+    q = draw(st.integers(2, 3))
+    case = (q, draw(st.integers(1, 2)), draw(st.integers(1, q)),
+            draw(st.sampled_from([(1, 1), (1, 3), (2, 3), (3, 3), (4, 5)])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+    moves = draw(st.lists(st.tuples(st.integers(0, 19), st.integers(0, q - 1),
+                                    st.floats(0.0, 1.0)), max_size=40))
+    return case, moves
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=key_cases())
+@example(case=((2, 1, 2, (3, 3), 1), [(k, 1, 0.5) for k in range(9)]))
+@example(case=((3, 2, 3, (4, 5), 2), [(k, (k * 7) % 3, 0.3) for k in range(20)]
+               + [(k, 0, 0.9) for k in range(20)]))
+def test_heat_bath_keys_follow_the_digits(case):
+    (q, r, s, shape, seed), moves = case
+    model = certified_symmetric_model(q, r, s, seed)
+    follow_key_moves(_ChainState(model, Box.from_shape(shape), 1 + seed % s,
+                                 0.9, keyed=True), moves)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(moves=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 1),
+                                st.floats(0.0, 1.0)), max_size=40))
+def test_heat_bath_keys_follow_the_digits_in_three_dimensions(moves):
+    model = potts_model(d=3, r=1, q=2)
+    follow_key_moves(_ChainState(model, Box.from_shape((2, 2, 3)), 1, 0.9,
+                                 keyed=True), moves)
 
 
 def traced_peak_and_kept(fn) -> tuple:
