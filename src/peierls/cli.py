@@ -17,6 +17,7 @@ are all built.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -28,8 +29,8 @@ from .contours import boundary, contours as extract_contours
 from .errors import CapacityError, InputError, VerificationError
 from .exact import (DEFAULT_BUDGET, FiniteVolumeEnsemble, coexistence_gap,
                     contour_statistics)
-from .io import (load_configuration, load_manifest, load_model, sha256_file,
-                 write_csv, write_manifest)
+from .io import (format_cell, load_configuration, load_manifest, load_model,
+                 sha256_file, write_csv, write_manifest)
 from .lattice import Box
 from .mcmc import ChainSpec, run_chain, site_indicator
 from .model import (ModelSpec, builtin_model, check_symmetry,
@@ -111,9 +112,14 @@ def _resolve_model(param: dict) -> ModelSpec:
     return load_model(path)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _mark_at(pair) -> str:
+    site, mark = pair
+    return f"{mark}@({','.join(map(str, site))})"
+
+
 def _contour_id(serial) -> str:
-    return "+".join(f"{mark}@({','.join(str(c) for c in site)})"
-                    for site, mark in serial)
+    return "+".join(map(_mark_at, serial))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +207,14 @@ def _run_verify(params: dict, out_dir: Path) -> tuple:
     stats = contour_statistics(model, box, params["exterior"], betas,
                                budget=params.get("budget"),
                                workers=params.get("workers", 1))
-    rows = []
-    violated = 0
-    for st in stats:
-        for rec in st.records:
-            rows.append((st.beta, _contour_id(rec.contour), rec.size,
-                         rec.probability, rec.bound, rec.slack))
-        violated += len(st.violations)
+    # every beta has the same contours: name each once, stream the rows
+    ids = {rec.contour: _contour_id(rec.contour)
+           for st in stats[:1] for rec in st.records}
     write_csv(out_dir / "peierls_bounds.csv",
               ["beta", "contour_id", "size", "probability", "bound", "slack"],
-              rows)
+              ((beta, ids[rec.contour], rec.size, rec.probability, rec.bound, rec.slack)
+               for st in stats for beta in [format_cell(st.beta)] for rec in st.records))
+    violated = sum(len(st.violations) for st in stats)
     for st in stats:
         worst = st.records[0].slack if st.records else float("inf")
         print(f"beta {st.beta:g}: {len(st.records)} realizable contours, "

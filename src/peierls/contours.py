@@ -194,6 +194,13 @@ class _Grid:
         padded = np.append(digits, np.full(digits.shape[:-1] + (1,), ext_digit), -1)
         return padded[..., self.bx.cube_index] @ self.powers
 
+    def improper_cubes(self, codes: np.ndarray) -> list:
+        """Each row's improper cube indices, in order, from rows of codes."""
+        rows, cubes = np.nonzero(self.tables.improper[codes])
+        bounds = np.searchsorted(rows, np.arange(len(codes) + 1)).tolist()
+        cubes = cubes.tolist()
+        return [cubes[a:b] for a, b in zip(bounds, bounds[1:])]
+
 
 # A grid shares its model's tables and its box's index with other grids and
 # owns only the powers of q, so caching many grids costs little.
@@ -228,13 +235,14 @@ def _label_components(members: Sequence[int], adjacency, restrict=None) -> dict:
     return labels
 
 
-def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[bool],
+def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[int],
                     grid: _Grid) -> tuple:
     """Per-configuration contour summary used by exhaustive sweeps.
 
-    ``improper`` flags each cube of the grid whose pattern is improper.
-    Returns a tuple of (serial, size) pairs where serial is the canonical
-    sorted tuple of (site, mark) pairs.
+    ``improper`` lists the indices of the grid's cubes whose pattern is
+    improper.  Returns a tuple of (serial, size) pairs where serial is the
+    canonical sorted tuple of (site, mark) pairs: sites are gathered in flat
+    order, which is row-major and so lexicographic.
     """
     bx = grid.bx
     dev = [k for k in range(bx.n) if digits[k] != ext_digit]
@@ -242,19 +250,18 @@ def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[bo
         return ()
     labels = _label_components(dev, bx.ball)
     n_comp = max(labels.values()) + 1
+    if n_comp == 1:  # an improper cube is not all exterior, so all are its
+        return ((tuple([(bx.sites[k], digits[k] + 1) for k in dev]), len(improper)),)
     sizes = [0] * n_comp
-    for j, flag in enumerate(improper):
-        if flag:
-            for k in bx.cube_site_idx[j]:
-                if digits[k] != ext_digit:
-                    sizes[labels[k]] += 1
-                    break
+    for j in improper:
+        for k in bx.cube_site_idx[j]:
+            if digits[k] != ext_digit:
+                sizes[labels[k]] += 1
+                break
     groups = [[] for _ in range(n_comp)]
     for k in dev:
         groups[labels[k]].append((bx.sites[k], digits[k] + 1))
-    return tuple(
-        (tuple(sorted(group)), sizes[c]) for c, group in enumerate(groups)
-    )
+    return tuple((tuple(group), sizes[c]) for c, group in enumerate(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ class ContourStatistics:
     records: tuple
     config_count: int
 
-    @property
+    @functools.cached_property
     def violations(self) -> tuple:
         return tuple(rec for rec in self.records if rec.slack < -BOUND_TOL)
 
@@ -359,22 +359,26 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
 # ---------------------------------------------------------------------------
 
 def _contour_task(args):
-    """Over one chunk: the weight sum at each beta and, for each contour, its
-    size and the weight sums of the configurations holding it, one per beta."""
+    """Over one chunk: the weight sum at each beta, and the chunk's contours
+    as a table: their serials in first-seen order, their sizes, and the
+    weight sums of the configurations holding each, one row per contour and
+    one column per beta."""
     model, box, exterior, betas, start, stop = args
     grid = _grid(model, box)
     digits, codes, energies = _chunk_rows(model, box, exterior, start, stop)
     weights = [np.exp(-beta * energies) for beta in betas]
-    ids, pairs = {}, []  # serial -> (contour id, size); (contour id, row)
-    improper = grid.tables.improper[codes].tolist()
-    for row, (digit_row, flags) in enumerate(zip(digits.tolist(), improper)):
-        for serial, size in _light_contours(digit_row, exterior - 1, flags, grid):
-            pairs.append((ids.setdefault(serial, (len(ids), size))[0], row))
+    ids, sizes, pairs = {}, [], []  # serial -> contour id; sizes; (contour id, row)
+    improper = grid.improper_cubes(codes)
+    for row, (digit_row, cubes) in enumerate(zip(digits.tolist(), improper)):
+        for serial, size in _light_contours(digit_row, exterior - 1, cubes, grid):
+            contour = ids.setdefault(serial, len(ids))
+            if contour == len(sizes):
+                sizes.append(size)
+            pairs.append((contour, row))
     contour, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     sums = np.stack([np.bincount(contour, weights=w[rows], minlength=len(ids))
                      for w in weights], axis=1)
-    return (tuple(float(w.sum()) for w in weights),
-            {serial: (size, sums[c]) for serial, (c, size) in ids.items()})
+    return tuple(float(w.sum()) for w in weights), list(ids), sizes, sums
 
 
 def contour_statistics(model: ModelSpec, box: Box, exterior: int,
@@ -384,31 +388,38 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
 
     One sweep serves all betas (contour decompositions are beta-free).
     Returns one ContourStatistics per beta with records sorted by slack
-    against exp(-beta * gap * size), tightest first.
+    against exp(-beta * gap * size), tightest first, ties by contour.
     """
     report = _check_sweep(model, box, exterior, betas, budget)
-    count = model.q ** box.size
-    z_parts = []
-    merged = {}
-    for chunk_zs, stats in _run_chunks(_contour_task, (model, box, exterior,
-                                                       tuple(betas)), workers):
+    z_parts, sizes = [], []
+    row_of = {}  # serial -> its row of sizes and total, in first-seen order
+    total = np.zeros((0, len(betas)))
+    for chunk_zs, chunk_serials, chunk_sizes, sums in _run_chunks(
+            _contour_task, (model, box, exterior, tuple(betas)), workers):
         z_parts.append(chunk_zs)
-        for serial, (size, sums) in stats.items():
-            acc = merged.get(serial)
-            merged[serial] = (size, sums if acc is None else acc[1] + sums)
-        del stats  # free this chunk's records before the next chunk runs
-    zs = [math.fsum(p[bi] for p in z_parts) for bi in range(len(betas))]
+        seen = len(sizes)
+        idx = [row_of.setdefault(serial, len(row_of)) for serial in chunk_serials]
+        sizes.extend(size for i, size in zip(idx, chunk_sizes) if i >= seen)
+        if len(sizes) > len(total):  # grow by doubling
+            total = np.concatenate([total, np.zeros((max(len(sizes), 2 * len(total))
+                                                     - len(total), len(betas)))])
+        total[idx] += sums  # rows are distinct: one addition per row, in chunk order
+    serials = list(row_of)
+    rank = np.empty(len(serials), dtype=np.int64)
+    rank[sorted(range(len(serials)), key=serials.__getitem__)] = np.arange(len(serials))
+    distinct, of_size = np.unique(np.array(sizes, dtype=np.int64), return_inverse=True)
     out = []
     for bi, beta in enumerate(betas):
-        records = []
-        for serial, (size, sums) in merged.items():
-            p = float(sums[bi]) / zs[bi]
-            records.append(ContourRecord(
-                contour=serial, size=size, probability=p,
-                bound=math.exp(-beta * report.gap * size)))
-        records.sort(key=lambda rec: (rec.slack, rec.contour))
-        out.append(ContourStatistics(beta=beta, gap=report.gap,
-                                     records=tuple(records), config_count=count))
+        z = math.fsum(zs[bi] for zs in z_parts)
+        p = total[:len(sizes), bi] / z
+        bound = np.array([math.exp(-beta * report.gap * size)
+                          for size in distinct.tolist()])[of_size]
+        order = np.lexsort((rank, bound - p)).tolist()
+        out.append(ContourStatistics(
+            beta=beta, gap=report.gap, config_count=model.q ** box.size,
+            records=tuple(map(ContourRecord, [serials[i] for i in order],
+                              [sizes[i] for i in order], p[order].tolist(),
+                              bound[order].tolist()))))
     return out
 
 
@@ -474,11 +485,8 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
     for start, stop in _chunk_ranges(model.q, box.size):
         digits, codes, e = _chunk_rows(model, box, exterior, start, stop)
         energies[start:stop] = e
-        digit_rows = digits.tolist()
-        improper_rows = grid.tables.improper[codes].tolist()
-        for row_i in range(len(digit_rows)):
-            all_contours.append(_light_contours(
-                digit_rows[row_i], ext_digit, improper_rows[row_i], grid))
+        for digit_row, cubes in zip(digits.tolist(), grid.improper_cubes(codes)):
+            all_contours.append(_light_contours(digit_row, ext_digit, cubes, grid))
     return SweepTable(box=box, exterior=exterior, model=model,
                       energies=energies, contours=all_contours)
 

@@ -265,14 +265,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# Cells of these exact types skip format_cell's checks (a float is formatted
+# as format_float does); any other type, numpy scalars included, goes
+# through format_cell.
+_CELL_FORMATS = {str: str, int: str, float: "{:.17g}".format}
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows; ``rows`` may be a generator, read once."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    get = _CELL_FORMATS.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows([get(type(v), format_cell)(v) for v in row] for row in rows)
 
 
 def sha256_file(path) -> str:

@@ -11,6 +11,7 @@ from peierls import (Box, CapacityError, CertificationError, Configuration,
                      contour_probability, contours, dlr_consistency,
                      enumerate_distribution, index_of_config, marginal_trend,
                      potts_model, verify_peierls_bound)
+from peierls.cli import main
 from peierls.contours import _box_index, _grid
 from peierls.exact import (CHUNK, _chunk_ranges, _low_table, _pool_size,
                            contour_statistics, full_sweep)
@@ -236,7 +237,7 @@ def test_workers_below_one_are_refused(ising):
             contour_statistics(ising, ens.box, 1, [1.0], workers=workers)
 
 
-def test_workers_agree_with_sequential(ising):
+def test_workers_agree_with_sequential(ising, tmp_path):
     # 3x5 box: 2^15 configurations, several chunks, so the pool really runs
     box = Box((0, 0), (2, 4))
     ens = FiniteVolumeEnsemble(box=box, exterior=1, beta=0.9, model=ising)
@@ -247,11 +248,17 @@ def test_workers_agree_with_sequential(ising):
         assert d2.marginals[key] == pytest.approx(val, abs=1e-12)
     s1 = contour_statistics(ising, box, 1, [0.9], workers=1)[0]
     s2 = contour_statistics(ising, box, 1, [0.9], workers=2)[0]
-    assert len(s1.records) == len(s2.records)
-    p1 = {rec.contour: rec.probability for rec in s1.records}
-    p2 = {rec.contour: rec.probability for rec in s2.records}
-    for key, val in p1.items():
-        assert p2[key] == pytest.approx(val, abs=1e-12)
+    assert s1.records == s2.records
+    # potts:q=3 on 3x3: 3^9 configurations in 3 chunks, and contours with
+    # several marks; the CSV holds the records in order, to the last bit
+    argv = ["verify", "--builtin", "potts:q=3", "--box", "3x3", "--betas", "0.5,2"]
+    assert len(list(_chunk_ranges(3, 9))) == 3
+    csvs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        csvs.append((out / "peierls_bounds.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_uncertified_model_is_refused_before_summing():

@@ -5,7 +5,8 @@ on random shapes inside one cube, each with a random table averaged over the
 permutations of the sector spins 1..s, so every drawn model is symmetric.
 Exact sweeps also need certified ground states, so the marginal sweep test
 adds a tenth of such a model to the Potts or excited Potts terms, and so
-does the test of the Monte Carlo heat-bath keys; the keys are also tested
+do the test of the contour statistics against the public contour extractor
+and the test of the Monte Carlo heat-bath keys; the keys are also tested
 on the d = 3 Potts model.
 The last three tests bound the memory that building the pattern tables takes
 and that a box grid keeps, on one large built-in model, and the memory one
@@ -22,11 +23,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
                      ModelSpec, check_symmetry, coexistence_gap, containing_cube_count,
-                     dlr_consistency, enumerate_distribution, excited_potts_model,
-                     ising_model, marginal_trend, potts_model, require_certified)
+                     contours, dlr_consistency, enumerate_distribution,
+                     excited_potts_model, ising_model, marginal_trend, potts_model,
+                     require_certified)
+from peierls import exact
 from peierls.contours import _grid
 from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _low_digit_count,
-                           _low_table, config_from_index, full_sweep)
+                           _low_table, config_from_index, contour_statistics,
+                           full_sweep)
 from peierls.lattice import ball_offsets, cubes_meeting_box
 from peierls.mcmc import _ChainState
 from peierls.model import _tables, cube_sites, digits_of, permute_spins
@@ -253,6 +257,63 @@ def test_marginal_sweep_matches_the_full_sweep(case, beta):
     corner = Box.from_shape(tuple(min(2, side) for side in shape))
     ens = FiniteVolumeEnsemble(box=box, exterior=exterior, beta=beta, model=model)
     assert dlr_consistency(ens, corner) <= 1e-10
+
+
+# Boxes of 4 to 6 sites: with CHUNK = 9, q = 2 chunks hold 8 configurations
+# and q = 3 chunks 9, so every box spans several chunks.
+STATS_SHAPES = {2: [(2, 2), (1, 5), (2, 3)], 3: [(2, 2), (1, 4), (2, 3)]}
+
+
+@st.composite
+def stats_cases(draw):
+    q = draw(st.integers(2, 3))
+    return (q, draw(st.integers(1, 2)), draw(st.integers(1, q)),
+            draw(st.sampled_from(STATS_SHAPES[q])), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(case=stats_cases(), betas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2))
+@example(case=(3, 1, 3, (2, 3), 4), betas=[0.4, 1.5])
+@example(case=(3, 2, 2, (2, 3), 5), betas=[0.7])
+@example(case=(2, 2, 1, (2, 3), 6), betas=[1.0, 0.0])
+def test_contour_statistics_match_the_public_extractor(case, betas):
+    q, r, s, shape, seed = case
+    model = certified_symmetric_model(q, r, s, seed)
+    box = Box.from_shape(shape)
+    exterior = 1 + seed % s
+    count = q ** box.size
+
+    # oracle: energies from every cube's code at once, contours from the
+    # public extractor, one configuration at a time
+    tables = _tables(model)
+    codes = _grid(model, box).codes(digits_of(np.arange(count), q, box.size),
+                                    exterior - 1)
+    energies = (tables.u[codes] - tables.u_min).sum(axis=1)
+    holding = {}  # (serial, size) -> indices of the configurations holding it
+    for index in range(count):
+        config = config_from_index(box, exterior, q, index)
+        for gamma in contours(config, model):
+            holding.setdefault((gamma.serial(), gamma.size), []).append(index)
+
+    _low_table.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "CHUNK", 9)
+            assert len(list(_chunk_ranges(q, box.size))) > 1
+            stats = contour_statistics(model, box, exterior, betas)
+    finally:
+        _low_table.cache_clear()
+
+    for beta, st_beta in zip(betas, stats):
+        w = np.exp(-beta * energies)
+        z = w.sum()
+        got = {(rec.contour, rec.size): rec.probability for rec in st_beta.records}
+        assert len(got) == len(st_beta.records)
+        assert got.keys() == holding.keys()
+        for key, indices in holding.items():
+            assert abs(got[key] - w[indices].sum() / z) <= 1e-13
+        keys = [(rec.slack, rec.contour) for rec in st_beta.records]
+        assert keys == sorted(keys)
 
 
 def scratch_key(state: _ChainState, k: int) -> int:
