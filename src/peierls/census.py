@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -31,6 +32,7 @@ from .lattice import Box, Site, ball_offsets, cubes_meeting
 from .model import ModelSpec, require_certified
 
 DEFAULT_SET_BUDGET = 10_000_000
+EXACT_CONNECTOR_LIMIT = 8  # terminals; the subset DP holds 2^t rows
 
 
 class CubeGraph:
@@ -63,24 +65,14 @@ def _explore_rooted(root: Site, neighbors: Callable, n_max: int,
     """Visit every connected set of size <= n_max containing the root once.
 
     ``visit(size, members)`` receives the current set as a list whose prefix
-    of length ``size`` is the set (the list is reused; copy if kept).
+    of length ``size`` is the set (the list is reused; copy if kept).  The
+    root is the first candidate: {root} is the first set visited and counted.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    if budget < 1:
-        raise CapacityError(
-            f"connected-set enumeration exceeded the budget {budget}", count=1)
     seen = {root}
-    initial = []
-    for u in neighbors(root):
-        if u not in seen:
-            seen.add(u)
-            initial.append(u)
-    members = [root]
-    visited = 1
-    visit(1, members)
-    if n_max == 1:
-        return
+    members = []
+    visited = 0
 
     def rec(cands: list, size: int):
         nonlocal visited
@@ -99,7 +91,7 @@ def _explore_rooted(root: Site, neighbors: Callable, n_max: int,
                 seen.difference_update(fresh)
             members.pop()
 
-    rec(initial, 1)
+    rec([root], 0)
 
 
 def rooted_subgraph_counts(d: int, r: int, n_max: int,
@@ -165,12 +157,21 @@ def subgraph_census(d: int, r: int, n_max: int,
 # Rooted contour enumeration
 # ---------------------------------------------------------------------------
 
-def _default_interior_cap(n_max: int, d: int, r: int) -> int:
+def _check_contour_census(model: ModelSpec, n_max: int, exterior: int,
+                          max_interior: int | None) -> int:
+    """Refuse a rooted-contour enumeration before it starts; checks the
+    model's certificate, the exterior spin and the interior cap, in that
+    order.  Returns the interior cap."""
+    require_certified(model)
+    if not 1 <= exterior <= model.s:
+        raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
+    if max_interior is not None:
+        return max_interior
     # Square blocks minimize the improper count per interior site in the
     # plane with r = 1: an LxL same-mark block has 4L improper cubes, so a
     # contour of size n has interior at most (n/4)^2.  Other geometries need
     # an explicit cap.
-    if (d, r) != (2, 1):
+    if (model.d, model.r) != (2, 1):
         raise InputError(
             "no default interior cap for this (d, r); pass max_interior explicitly")
     return max(1, n_max * n_max // 16)
@@ -204,18 +205,17 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     results = []
 
     def visit(size, members):
-        results.append(tuple(members[:size]))
+        results.append(members[:size])
 
     _explore_rooted(x, ball if within is None else ball_within, max_interior,
                     budget, visit)
 
     for sites in results:
-        site_list = list(sites)
-        position = {site: j for j, site in enumerate(site_list)}
+        position = {site: j for j, site in enumerate(sites)}
         cube_members = [
             [position[site] for site in cube.sites() if site in position]
-            for cube in cubes_meeting(site_list, r)]
-        for marking in itertools.product(marks_allowed, repeat=len(site_list)):
+            for cube in cubes_meeting(sites, r)]
+        for marking in itertools.product(marks_allowed, repeat=len(sites)):
             improper = 0
             for inside in cube_members:
                 if len(inside) == cube_volume:
@@ -223,7 +223,7 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
                     if first <= s and all(marking[j] == first for j in inside[1:]):
                         continue  # constant sector pattern: proper
                 improper += 1
-            yield site_list, marking, improper
+            yield sites, marking, improper
 
 
 def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
@@ -237,11 +237,7 @@ def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
     contour of size <= n_max in the plane with r = 1 (larger interiors force
     more improper cubes than n_max by the block isoperimetry).
     """
-    require_certified(model)
-    if not 1 <= exterior <= model.s:
-        raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
-    if max_interior is None:
-        max_interior = _default_interior_cap(n_max, model.d, model.r)
+    max_interior = _check_contour_census(model, n_max, exterior, max_interior)
     counts = {}
     for _sites, _marks, improper in _iter_marked_interiors(
             model, x, exterior, max_interior, budget):
@@ -270,18 +266,13 @@ def contour_roundtrip_mismatches(model: ModelSpec, x: Site, n_max: int,
     contour with the same marks and the same size.  Returns the list of
     mismatches (empty when the census and the engine agree).
     """
-    require_certified(model)
-    if max_interior is None:
-        max_interior = _default_interior_cap(n_max, model.d, model.r)
+    max_interior = _check_contour_census(model, n_max, exterior, max_interior)
     mismatches = []
     for sites, marks, improper in _iter_marked_interiors(
             model, x, exterior, max_interior, budget):
         if improper > n_max:
             continue
-        d = model.d
-        lower = tuple(min(p[k] for p in sites) for k in range(d))
-        upper = tuple(max(p[k] for p in sites) for k in range(d))
-        box = Box(lower, upper)
+        box = Box(tuple(map(min, zip(*sites))), tuple(map(max, zip(*sites))))
         config = Configuration.constant(box, exterior).replace(
             dict(zip(sites, marks)))
         found = extract_contours(config, model)
@@ -312,32 +303,16 @@ def _steiner_min_vertices(adj, terminals: Sequence[int]) -> int:
     """Minimum vertex count of a connected subgraph containing the terminals.
 
     Classic subset dynamic program over (terminal set, attachment vertex)
-    with unit edge weights; tree edge count + 1 is the vertex count.
+    with unit edge weights; tree edge count + 1 is the vertex count.  Each
+    singleton row is seeded at its terminal and relaxed like every other row.
     """
     t = len(terminals)
     h = len(adj)
     inf = math.inf
-
-    def bfs(source):
-        dist = [-1] * h
-        dist[source] = 0
-        queue = [source]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in adj[v]:
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            queue = nxt
-        return [d if d >= 0 else inf for d in dist]
-
-    term_dist = [bfs(term) for term in terminals]
     full = (1 << t) - 1
     dp = [[inf] * h for _ in range(full + 1)]
-    for i in range(t):
-        for v in range(h):
-            dp[1 << i][v] = term_dist[i][v]
+    for i, term in enumerate(terminals):
+        dp[1 << i][term] = 0
     for mask in range(1, full + 1):
         row = dp[mask]
         sub = (mask - 1) & mask
@@ -374,35 +349,30 @@ def _greedy_connector_size(adj, terminals: Sequence[int]) -> int:
             return len(chosen)
         comp = {v for v, c in labels.items() if c == 0}
         # BFS from the first component through the full graph to any other
-        parent = {v: None for v in comp}
-        queue = list(comp)
+        queue = deque(comp)
+        parent = dict.fromkeys(comp)
         target = None
         while queue and target is None:
-            nxt = []
-            for v in queue:
-                for u in adj[v]:
-                    if u not in parent:
-                        parent[u] = v
-                        if u in chosen:
-                            target = u
-                            break
-                        nxt.append(u)
-                if target is not None:
-                    break
-            queue = nxt
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    if u in chosen:
+                        target = u
+                        break
+                    queue.append(u)
         if target is None:
             raise VerificationError("connector search failed: graph not connected")
-        v = target
-        while v is not None:
-            chosen.add(v)
-            v = parent[v]
+        while target is not None:
+            chosen.add(target)
+            target = parent[target]
 
 
-def verify_connector_bound(gamma: Contour, exact_limit: int = 8) -> ConnectorReport:
+def verify_connector_bound(gamma: Contour) -> ConnectorReport:
     """Check that the improper cubes admit a connector of at most twice their
-    number of vertices.  Exact minimal search up to ``exact_limit`` terminals
-    (which can refute the bound); a greedy constructive connector otherwise
-    (which can only confirm it)."""
+    number of vertices.  Exact minimal search up to ``EXACT_CONNECTOR_LIMIT``
+    terminals (which can refute the bound); a greedy constructive connector
+    otherwise (which can only confirm it)."""
     anchors = sorted(c.anchor for c in gamma.improper_cubes)
     if not anchors:
         raise InputError("contour with no improper cubes")
@@ -414,7 +384,7 @@ def verify_connector_bound(gamma: Contour, exact_limit: int = 8) -> ConnectorRep
     if max(_label_components(terminals, adj).values()) == 0:
         return ConnectorReport(connector_size=len(anchors), bound=bound,
                                passes=True, exact=True)
-    if len(anchors) <= exact_limit:
+    if len(anchors) <= EXACT_CONNECTOR_LIMIT:
         size = _steiner_min_vertices(adj, terminals)
         return ConnectorReport(connector_size=size, bound=bound,
                                passes=size <= bound, exact=True)

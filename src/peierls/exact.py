@@ -391,6 +391,8 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     against exp(-beta * gap * size), tightest first, ties by contour.
     """
     report = _check_sweep(model, box, exterior, betas, budget)
+    if len(betas) == 0:
+        return []
     z_parts, sizes = [], []
     row_of = {}  # serial -> its row of sizes and total, in first-seen order
     total = np.zeros((0, len(betas)))

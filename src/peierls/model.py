@@ -458,17 +458,15 @@ def permute_spins(g: Sequence[int], spins: Iterable[int], s: int) -> tuple:
 # Conditional and relative energies on finite boxes
 # ---------------------------------------------------------------------------
 
-def _validate_config(config, model: ModelSpec, exterior_in_sector: bool = True):
+def _validate_config(config, model: ModelSpec):
     if config.box.dimension != model.d:
         raise InputError(
             f"configuration box has dimension {config.box.dimension}, model has {model.d}")
     if any(v > model.q for v in config.spins):
         raise InputError(f"configuration uses spins above q={model.q}")
-    if exterior_in_sector and config.exterior > model.s:
+    if config.exterior > model.s:
         raise InputError(
             f"exterior spin {config.exterior} outside the symmetric sector 1..{model.s}")
-    if config.exterior > model.q:
-        raise InputError(f"exterior spin {config.exterior} above q={model.q}")
 
 
 def conditional_hamiltonian(config, model: ModelSpec) -> float:

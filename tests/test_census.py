@@ -1,14 +1,18 @@
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peierls import (Box, CapacityError, Configuration, InputError,
                      VerificationError, chebyshev_distance,
                      contour_roundtrip_mismatches, contours, max_degree,
                      potts_model, rooted_contour_counts, rooted_subgraph_counts,
                      subgraph_census, verify_connector_bound)
-from peierls.census import ConnectorReport, _steiner_min_vertices
+from peierls import census
+from peierls.census import (EXACT_CONNECTOR_LIMIT, ConnectorReport,
+                            _greedy_connector_size, _steiner_min_vertices)
 from peierls.contours import _box_index, _label_components
 from peierls.exact import full_sweep
 
@@ -98,6 +102,25 @@ def test_count_rooted_connected_subgraphs_bound_and_budget():
         rooted_subgraph_counts(2, 1, 6, budget=100)
 
 
+def test_explorer_budget_counts_the_root_as_the_first_set():
+    # 1 + 8 + 60 sets: a budget of 69 is exactly enough, 68 stops at the 69th
+    assert rooted_subgraph_counts(2, 1, 3, budget=69) == [0, 1, 8, 60]
+    with pytest.raises(CapacityError) as caught:
+        rooted_subgraph_counts(2, 1, 3, budget=68)
+    assert caught.value.count == 69
+    assert rooted_subgraph_counts(2, 1, 1) == [0, 1]
+    assert rooted_subgraph_counts(2, 1, 1, budget=1) == [0, 1]
+
+
+def test_explorer_budget_zero_refuses_before_any_visit():
+    visits = []
+    with pytest.raises(CapacityError) as caught:
+        census._explore_rooted((0, 0), census.CubeGraph(2, 1).neighbors, 3, 0,
+                               lambda size, members: visits.append(size))
+    assert caught.value.count == 1
+    assert visits == []
+
+
 @pytest.mark.parametrize("d, r, n_max", [(0, 1, 3), (2, 0, 3), (2, 1, 0)])
 def test_rooted_subgraph_counts_refuse_sizes_below_one(d, r, n_max):
     with pytest.raises(InputError):
@@ -150,6 +173,21 @@ def test_contour_counts_match_window_sweep_oracle(ising, potts3):
                 within=window):
             got[improper] = got.get(improper, 0) + 1
         assert got == oracle
+
+
+@pytest.mark.parametrize("exterior", [0, 3])
+def test_contour_enumerations_refuse_an_exterior_outside_the_sector(
+        ising, monkeypatch, exterior):
+    def no_explore(*args, **kwargs):
+        raise AssertionError("explored before the exterior was checked")
+
+    monkeypatch.setattr(census, "_explore_rooted", no_explore)
+    messages = []
+    for enumerate_contours in (rooted_contour_counts, contour_roundtrip_mismatches):
+        with pytest.raises(InputError) as caught:
+            enumerate_contours(ising, (0, 0), 4, exterior=exterior)
+        messages.append(str(caught.value))
+    assert messages == [f"exterior spin {exterior} outside 1..2"] * 2
 
 
 def test_contour_roundtrip(ising, potts3):
@@ -235,10 +273,41 @@ def test_steiner_exact_matches_brute_force():
         assert got == brute_min_connector(anchors, r)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(r=st.integers(1, 2), width=st.integers(1, 4), height=st.integers(1, 4),
+       data=st.data())
+def test_steiner_exact_matches_brute_force_on_random_anchors(r, width, height, data):
+    window = list(itertools.product(range(width), range(height)))
+    anchors = data.draw(st.lists(st.sampled_from(window), min_size=1,
+                                 max_size=min(4, len(window)), unique=True))
+    hull, index, adj = _anchor_graph(anchors, r)
+    got = _steiner_min_vertices(adj, [index[a] for a in anchors])
+    assert got == brute_min_connector(anchors, r)
+
+
+# Greedy connector sizes of 20 seeded terminal sets of 9-16 anchors, each in
+# 7-12 components, as the greedy bridge search gave them when it was pinned.
+# Which shortest bridge it takes depends on the order the BFS starts in.
+GREEDY_SIZES = [21, 21, 20, 28, 27, 25, 34, 28, 21, 21,
+                26, 22, 28, 25, 29, 30, 24, 19, 24, 27]
+
+
+def test_greedy_connector_sizes_are_pinned():
+    got = []
+    for seed in range(20):
+        r = 1 + seed % 2
+        window = list(itertools.product(range(8 * r + 4), repeat=2))
+        anchors = random.Random(seed).sample(window, 9 + seed % 8)
+        hull, index, adj = _anchor_graph(anchors, r)
+        got.append(_greedy_connector_size(adj, [index[a] for a in anchors]))
+    assert got == GREEDY_SIZES
+
+
 def test_connector_constructive_mode():
     from peierls.contours import Contour, Subcontour
     from peierls.lattice import Cube
-    # 9 spread-out terminals force the constructive path (exact_limit = 8)
+    # 9 spread-out terminals force the constructive path
+    assert EXACT_CONNECTOR_LIMIT == 8
     anchors = [(2 * i, 0) for i in range(9)]
     gamma = Contour(
         subcontours=(Subcontour(frozenset({(0, 0)}), 2),),

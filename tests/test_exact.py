@@ -11,6 +11,7 @@ from peierls import (Box, CapacityError, CertificationError, Configuration,
                      contour_probability, contours, dlr_consistency,
                      enumerate_distribution, index_of_config, marginal_trend,
                      potts_model, verify_peierls_bound)
+from peierls import exact
 from peierls.cli import main
 from peierls.contours import _box_index, _grid
 from peierls.exact import (CHUNK, _chunk_ranges, _low_table, _pool_size,
@@ -211,6 +212,20 @@ def test_coexistence_gap(ising):
     assert recs[1].gap > 0.5
     assert recs[0].permutation_residual < 1e-12
     assert recs[1].permutation_residual < 1e-12
+
+
+def test_empty_betas_give_empty_lists(ising, monkeypatch):
+    box = Box((0, 0), (1, 1))
+    assert marginal_trend(ising, box, (0, 0), 1, 2, []) == []
+    assert coexistence_gap(ising, box, (0, 0), []) == []
+
+    def no_sweep(*args):
+        raise AssertionError("swept with no betas")
+
+    monkeypatch.setattr(exact, "_run_chunks", no_sweep)
+    assert contour_statistics(ising, box, 1, []) == []
+    with pytest.raises(InputError):  # the entry checks still run
+        contour_statistics(ising, box, 3, [])
 
 
 def test_dlr_consistency(ising):
