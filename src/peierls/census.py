@@ -157,15 +157,19 @@ def subgraph_census(d: int, r: int, n_max: int,
 # Rooted contour enumeration
 # ---------------------------------------------------------------------------
 
-def _check_contour_census(model: ModelSpec, n_max: int, exterior: int,
+def _check_contour_census(model: ModelSpec, x: Site, n_max: int, exterior: int,
                           max_interior: int | None) -> int:
     """Refuse a rooted-contour enumeration before it starts; checks the
-    model's certificate, the exterior spin and the interior cap, in that
-    order.  Returns the interior cap."""
+    model's certificate, the root site's dimension, the exterior spin and
+    the interior cap, in that order.  Returns the interior cap."""
     require_certified(model)
+    if len(x) != model.d:
+        raise InputError(f"site {x} has dimension {len(x)}, need {model.d}")
     if not 1 <= exterior <= model.s:
         raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
     if max_interior is not None:
+        if max_interior < 1:
+            raise InputError(f"max_interior must be >= 1, got {max_interior}")
         return max_interior
     # Square blocks minimize the improper count per interior site in the
     # plane with r = 1: an LxL same-mark block has 4L improper cubes, so a
@@ -191,10 +195,6 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     site set never involves outside sites, so this is a plain filter).
     """
     d, r, q, s = model.d, model.r, model.q, model.s
-    if len(x) != d:
-        raise InputError(f"site {x} has dimension {len(x)}, need {d}")
-    if max_interior < 1:
-        raise InputError(f"max_interior must be >= 1, got {max_interior}")
     marks_allowed = [v for v in range(1, q + 1) if v != exterior]
     cube_volume = (r + 1) ** d
     ball = CubeGraph(d, r).neighbors
@@ -237,7 +237,7 @@ def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
     contour of size <= n_max in the plane with r = 1 (larger interiors force
     more improper cubes than n_max by the block isoperimetry).
     """
-    max_interior = _check_contour_census(model, n_max, exterior, max_interior)
+    max_interior = _check_contour_census(model, x, n_max, exterior, max_interior)
     counts = {}
     for _sites, _marks, improper in _iter_marked_interiors(
             model, x, exterior, max_interior, budget):
@@ -266,7 +266,7 @@ def contour_roundtrip_mismatches(model: ModelSpec, x: Site, n_max: int,
     contour with the same marks and the same size.  Returns the list of
     mismatches (empty when the census and the engine agree).
     """
-    max_interior = _check_contour_census(model, n_max, exterior, max_interior)
+    max_interior = _check_contour_census(model, x, n_max, exterior, max_interior)
     mismatches = []
     for sites, marks, improper in _iter_marked_interiors(
             model, x, exterior, max_interior, budget):
@@ -344,10 +344,10 @@ def _greedy_connector_size(adj, terminals: Sequence[int]) -> int:
     """Connect terminal components by repeatedly adding a shortest bridge path."""
     chosen = set(terminals)
     while True:
-        labels = _label_components(list(set(chosen)), adj)
+        labels = _label_components(sorted(chosen), adj)
         if max(labels.values()) == 0:
             return len(chosen)
-        comp = {v for v, c in labels.items() if c == 0}
+        comp = sorted(v for v, c in labels.items() if c == 0)
         # BFS from the first component through the full graph to any other
         queue = deque(comp)
         parent = dict.fromkeys(comp)

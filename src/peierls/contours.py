@@ -212,9 +212,9 @@ def _grid(model: ModelSpec, box: Box) -> _Grid:
 def _label_components(members: Sequence[int], adjacency, restrict=None) -> dict:
     """Label connected components of ``members`` under an adjacency table.
 
-    ``restrict`` optionally filters which neighbors join (same-mark labels).
-    Returns a site-index -> component-id map; components are numbered in
-    order of their smallest flat index.
+    ``members`` come in increasing order; ``restrict`` optionally filters
+    which neighbors join (same-mark labels).  Returns a site-index ->
+    component-id map, components numbered in order of smallest flat index.
     """
     labels = {}
     comp = 0
@@ -237,12 +237,15 @@ def _label_components(members: Sequence[int], adjacency, restrict=None) -> dict:
 
 def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[int],
                     grid: _Grid) -> tuple:
-    """Per-configuration contour summary used by exhaustive sweeps.
+    """The contour decomposition of one configuration, shared by the exact
+    sweeps and ``contours()``.
 
-    ``improper`` lists the indices of the grid's cubes whose pattern is
-    improper.  Returns a tuple of (serial, size) pairs where serial is the
-    canonical sorted tuple of (site, mark) pairs: sites are gathered in flat
-    order, which is row-major and so lexicographic.
+    ``digits`` holds each flat site's spin minus one, and ``improper`` the
+    indices of the grid's improper cubes.  Returns one (serial, cubes) pair
+    per contour, in order of smallest site: serial is the canonical sorted
+    tuple of (site, mark) pairs (flat order is row-major, so lexicographic),
+    and cubes lists the contour's improper cubes.  Contours lie farther than
+    r apart, so an improper cube's first deviating site names its contour.
     """
     bx = grid.bx
     dev = [k for k in range(bx.n) if digits[k] != ext_digit]
@@ -251,17 +254,17 @@ def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[in
     labels = _label_components(dev, bx.ball)
     n_comp = max(labels.values()) + 1
     if n_comp == 1:  # an improper cube is not all exterior, so all are its
-        return ((tuple([(bx.sites[k], digits[k] + 1) for k in dev]), len(improper)),)
-    sizes = [0] * n_comp
+        return ((tuple([(bx.sites[k], digits[k] + 1) for k in dev]), improper),)
+    cubes = [[] for _ in range(n_comp)]
     for j in improper:
         for k in bx.cube_site_idx[j]:
             if digits[k] != ext_digit:
-                sizes[labels[k]] += 1
+                cubes[labels[k]].append(j)
                 break
     groups = [[] for _ in range(n_comp)]
     for k in dev:
         groups[labels[k]].append((bx.sites[k], digits[k] + 1))
-    return tuple((tuple(group), sizes[c]) for c, group in enumerate(groups))
+    return tuple(zip(map(tuple, groups), cubes))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +274,8 @@ def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[in
 def subcontours(config: Configuration) -> list:
     """Maximal same-mark components of the deviating set at distance one.
 
-    Needs no model: connectivity and marks are purely combinatorial.  The
-    returned list is ordered by smallest interior site.
+    Needs no model: connectivity and marks are purely combinatorial.  Labels,
+    and so the returned list, are ordered by smallest interior site.
     """
     bx = _box_index(config.box, 1)
     spins = config.spins
@@ -283,12 +286,8 @@ def subcontours(config: Configuration) -> list:
     groups = {}
     for k, c in labels.items():
         groups.setdefault(c, []).append(k)
-    out = [
-        Subcontour(frozenset(bx.sites[k] for k in ks), spins[ks[0]])
-        for ks in groups.values()
-    ]
-    out.sort(key=lambda sub: sub.min_site)
-    return out
+    return [Subcontour(frozenset(bx.sites[k] for k in ks), spins[ks[0]])
+            for ks in groups.values()]
 
 
 def boundary(config: Configuration, model: ModelSpec) -> Boundary:
@@ -309,43 +308,25 @@ def boundary(config: Configuration, model: ModelSpec) -> Boundary:
 
 
 def contours(config: Configuration, model: ModelSpec) -> list:
-    """The contour decomposition of a configuration, canonically ordered.
+    """The contour decomposition of a configuration, ordered by smallest site.
 
-    Each contour carries its subcontours, interior, improper cubes and size;
-    the list is sorted by smallest interior site.
+    The decomposition is the exact sweeps' own, ``_light_contours``; each
+    contour carries its subcontours, interior, improper cubes and size.
     """
     require_certified(model)
     _validate_config(config, model)
     grid = _grid(model, config.box)
-    bx = grid.bx
-    spins = config.spins
-    ext = config.exterior
-    dev = [k for k in range(bx.n) if spins[k] != ext]
-    if not dev:
-        return []
-
-    contour_labels = _label_components(dev, bx.ball)
-    codes = grid.codes([v - 1 for v in spins], ext - 1)
-    imp_per_contour = {}
-    for j in np.flatnonzero(grid.tables.improper[codes]).tolist():
-        for k in bx.cube_site_idx[j]:
-            if spins[k] != ext:
-                imp_per_contour.setdefault(contour_labels[k], []).append(bx.cubes[j])
-                break
-
-    per_contour_subs = {}
+    digits, ext_digit = [v - 1 for v in config.spins], config.exterior - 1
+    [improper] = grid.improper_cubes(grid.codes([digits], ext_digit))
+    found = _light_contours(digits, ext_digit, improper, grid)
+    contour_of = {site: c for c, (serial, _) in enumerate(found) for site, _ in serial}
+    subs = [[] for _ in found]
     for sub in subcontours(config):  # ordered by smallest site
-        k = config.box.index_of(sub.min_site)
-        per_contour_subs.setdefault(contour_labels[k], []).append(sub)
-
-    out = []
-    for c, subs in per_contour_subs.items():
-        interior = frozenset().union(*(sc.sites for sc in subs))
-        imp = frozenset(imp_per_contour.get(c, ()))
-        out.append(Contour(subcontours=tuple(subs), interior=interior,
-                           improper_cubes=imp, size=len(imp)))
-    out.sort(key=lambda gamma: gamma.min_site)
-    return out
+        subs[contour_of[sub.min_site]].append(sub)
+    return [Contour(subcontours=tuple(sub), size=len(cubes),
+                    interior=frozenset(site for site, _ in serial),
+                    improper_cubes=frozenset(grid.bx.cubes[j] for j in cubes))
+            for sub, (serial, cubes) in zip(subs, found)]
 
 
 def remove_contour(config: Configuration, gamma: Contour) -> Configuration:

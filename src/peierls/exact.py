@@ -177,34 +177,28 @@ def _low_table(model: ModelSpec, box: Box) -> _LowTable:
                      codes[:, straddle].T.copy(), low_energy)
 
 
-def _chunk_energies(model: ModelSpec, box: Box, exterior: int,
-                    start: int, stop: int):
-    """Return (relative energies, high digits, low table rows) of the indices
-    start..stop-1, which lie in one chunk of ``_chunk_ranges``: the low-only
-    sum, plus the high-only sum, plus each straddling cube's energy."""
+def _chunk_energies(model: ModelSpec, box: Box, exterior: int, start: int):
+    """Return (relative energies, high digits, high codes) of the chunk of
+    ``_chunk_ranges`` that starts at ``start``: the low-only sum, plus the
+    high-only sum, plus each straddling cube's energy.  A row's digits and
+    cube codes are its low table row plus the high digits and codes."""
     grid = _grid(model, box)
     low = _low_table(model, box)
-    chunk, first = divmod(start, len(low.digits))
-    if first + stop - start > len(low.digits):
-        raise ValueError(f"indices {start}..{stop - 1} span two chunks")
-    rows = slice(first, first + stop - start)
-    high = digits_of(chunk * len(low.digits), model.q, box.size)
+    high = digits_of(start, model.q, box.size)
     high_codes = grid.codes(high, exterior - 1).astype(low.codes.dtype)
-    energies = low.low_energy[exterior - 1, rows] + np.take(
+    energies = low.low_energy[exterior - 1] + np.take(
         low.u, high_codes[low.high_only]).sum()
     for column, code in zip(low.straddle_codes, high_codes[low.straddle]):
-        energies += np.take(low.u, column[rows] + code)
-    return energies, high, rows
+        energies += np.take(low.u, column + code)
+    return energies, high, high_codes
 
 
-def _chunk_rows(model: ModelSpec, box: Box, exterior: int, start: int, stop: int):
+def _chunk_rows(model: ModelSpec, box: Box, exterior: int, start: int):
     """(digits, cube codes, relative energies) of one chunk, in the low table's
     dtypes: a digit is below q and a code below pattern_count."""
-    energies, high, rows = _chunk_energies(model, box, exterior, start, stop)
+    energies, high, high_codes = _chunk_energies(model, box, exterior, start)
     low = _low_table(model, box)
-    high_codes = _grid(model, box).codes(high, exterior - 1)
-    return (low.digits[rows] + high.astype(low.digits.dtype),
-            low.codes[rows] + high_codes.astype(low.codes.dtype), energies)
+    return low.digits + high.astype(low.digits.dtype), low.codes + high_codes, energies
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -247,9 +241,9 @@ def index_of_config(config: Configuration, q: int) -> int:
 def _dist_task(args):
     """Over one chunk, at each beta: the weight sum and, for each group of
     flat site indices, the weights binned by the group's base-q code."""
-    model, box, exterior, betas, groups, start, stop = args
-    energies, high, rows = _chunk_energies(model, box, exterior, start, stop)
-    low_digits = _low_table(model, box).digits[rows]
+    model, box, exterior, betas, groups, start, _ = args
+    energies, high, _ = _chunk_energies(model, box, exterior, start)
+    low_digits = _low_table(model, box).digits
     q = model.q
     powers = [q ** np.arange(len(group)) for group in groups]
     codes = [low_digits[:, list(g)] @ p + high[list(g)] @ p for g, p in zip(groups, powers)]
@@ -363,17 +357,17 @@ def _contour_task(args):
     as a table: their serials in first-seen order, their sizes, and the
     weight sums of the configurations holding each, one row per contour and
     one column per beta."""
-    model, box, exterior, betas, start, stop = args
+    model, box, exterior, betas, start, _ = args
     grid = _grid(model, box)
-    digits, codes, energies = _chunk_rows(model, box, exterior, start, stop)
+    digits, codes, energies = _chunk_rows(model, box, exterior, start)
     weights = [np.exp(-beta * energies) for beta in betas]
     ids, sizes, pairs = {}, [], []  # serial -> contour id; sizes; (contour id, row)
     improper = grid.improper_cubes(codes)
     for row, (digit_row, cubes) in enumerate(zip(digits.tolist(), improper)):
-        for serial, size in _light_contours(digit_row, exterior - 1, cubes, grid):
+        for serial, owned in _light_contours(digit_row, exterior - 1, cubes, grid):
             contour = ids.setdefault(serial, len(ids))
             if contour == len(sizes):
-                sizes.append(size)
+                sizes.append(len(owned))
             pairs.append((contour, row))
     contour, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     sums = np.stack([np.bincount(contour, weights=w[rows], minlength=len(ids))
@@ -485,10 +479,11 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
     all_contours = []
     ext_digit = exterior - 1
     for start, stop in _chunk_ranges(model.q, box.size):
-        digits, codes, e = _chunk_rows(model, box, exterior, start, stop)
+        digits, codes, e = _chunk_rows(model, box, exterior, start)
         energies[start:stop] = e
         for digit_row, cubes in zip(digits.tolist(), grid.improper_cubes(codes)):
-            all_contours.append(_light_contours(digit_row, ext_digit, cubes, grid))
+            found = _light_contours(digit_row, ext_digit, cubes, grid)
+            all_contours.append(tuple((serial, len(owned)) for serial, owned in found))
     return SweepTable(box=box, exterior=exterior, model=model,
                       energies=energies, contours=all_contours)
 

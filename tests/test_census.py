@@ -285,22 +285,35 @@ def test_steiner_exact_matches_brute_force_on_random_anchors(r, width, height, d
     assert got == brute_min_connector(anchors, r)
 
 
-# Greedy connector sizes of 20 seeded terminal sets of 9-16 anchors, each in
-# 7-12 components, as the greedy bridge search gave them when it was pinned.
-# Which shortest bridge it takes depends on the order the BFS starts in.
-GREEDY_SIZES = [21, 21, 20, 28, 27, 25, 34, 28, 21, 21,
-                26, 22, 28, 25, 29, 30, 24, 19, 24, 27]
-
-
-def test_greedy_connector_sizes_are_pinned():
-    got = []
-    for seed in range(20):
+def _greedy_cases(count):
+    """Seeded terminal sets of 9-16 anchors, with their ball adjacency."""
+    for seed in range(count):
         r = 1 + seed % 2
         window = list(itertools.product(range(8 * r + 4), repeat=2))
         anchors = random.Random(seed).sample(window, 9 + seed % 8)
         hull, index, adj = _anchor_graph(anchors, r)
-        got.append(_greedy_connector_size(adj, [index[a] for a in anchors]))
-    assert got == GREEDY_SIZES
+        yield seed, adj, [index[a] for a in anchors]
+
+
+# Greedy connector sizes of the first 20 seeded terminal sets, each in 7-12
+# components.  Which shortest bridge the search takes depends on the order
+# its BFS starts in, which is the increasing order of the component's sites.
+GREEDY_SIZES = [21, 22, 21, 28, 29, 25, 34, 28, 21, 21,
+                26, 23, 29, 25, 29, 30, 25, 19, 24, 28]
+
+
+def test_greedy_connector_sizes_are_pinned():
+    assert [_greedy_connector_size(adj, terminals)
+            for _, adj, terminals in _greedy_cases(20)] == GREEDY_SIZES
+
+
+def test_greedy_connector_size_ignores_the_terminal_order():
+    for seed, adj, terminals in _greedy_cases(300):
+        want = _greedy_connector_size(adj, terminals)
+        rng = random.Random(seed)
+        for _ in range(10):
+            rng.shuffle(terminals)
+            assert _greedy_connector_size(adj, terminals) == want
 
 
 def test_connector_constructive_mode():

@@ -71,6 +71,19 @@ def test_census_budget_bounds_every_stage(tmp_path, capsys, argv):
     assert "capacity error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--n-max", "4", "--builtin", "ising", "--exterior", "3"],
+    ["census", "--n-max", "4", "--builtin", "ising", "--site", "0"],
+    ["census", "--n-max", "4", "--builtin", "ising", "--max-interior", "0"],
+    ["census", "--n-max", "4", "--builtin", "potts:q=2,r=2"],  # no default cap
+])
+def test_census_refuses_bad_contour_input_before_the_subgraph_census(
+        tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "connected sets" not in capsys.readouterr().out
+    assert not (tmp_path / "o" / "census_subgraphs.csv").exists()
+
+
 def test_contours_command(tmp_path, capsys):
     model = potts_model(q=2)
     mpath = tmp_path / "model.txt"

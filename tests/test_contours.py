@@ -68,9 +68,35 @@ def test_subcontours_trivial_cases(ising):
     assert len(subcontours(c)) == 2
 
 
+def sparse_configs(box, q, s, count, seed, p=0.15):
+    """Configurations deviating at each site with probability p, under
+    exteriors cycling through 1..s, so that a box holds several contours."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        ext = 1 + i % s
+        marks = [v for v in range(1, q + 1) if v != ext]
+        out.append(Configuration(box, tuple(
+            int(rng.choice(marks)) if rng.random() < p else ext
+            for _ in range(box.size)), ext))
+    return out
+
+
+def wide_cases(seed):
+    """(model, configurations) at r = 2 on 5x5 and in d = 3 on 3x3x3, each
+    with uniform and sparse configurations: inputs beside a test's own
+    planar r = 1 ones."""
+    for params, box in [(dict(d=2, r=2, q=3), Box((0, 0), (4, 4))),
+                        (dict(d=3, r=1, q=2), Box((0, 0, 0), (2, 2, 2)))]:
+        q = params["q"]
+        yield (potts_model(J=1.0, **params), random_configs(box, q, 10, seed)
+               + sparse_configs(box, q, q, 30, seed))
+
+
 def test_subcontours_match_oracle_and_cover_deviations(potts3):
     box = Box((0, 0), (4, 4))
-    for config in random_configs(box, 3, 40, seed=13):
+    configs = random_configs(box, 3, 40, seed=13)
+    for config in configs + [c for _, cs in wide_cases(seed=13) for c in cs]:
         subs = subcontours(config)
         got = {(s.sites, s.mark) for s in subs}
         assert got == set(brute_subcontours(config))
@@ -123,28 +149,37 @@ def test_contours_examples(ising, potts3):
 
 def test_contour_interiors_match_oracle(potts3):
     box = Box((0, 0), (4, 4))
-    for config in random_configs(box, 3, 40, seed=21):
-        got = {g.interior for g in contours(config, potts3)}
-        assert got == set(brute_contours(config, potts3.r))
+    cases = [(potts3, random_configs(box, 3, 40, seed=21)), *wide_cases(seed=21)]
+    for model, configs in cases:
+        for config in configs:
+            got = {g.interior for g in contours(config, model)}
+            assert got == set(brute_contours(config, model.r))
 
 
 def test_contour_structure_invariants(ising):
     box = Box((0, 0), (4, 4))
-    for config in random_configs(box, 2, 60, seed=17):
-        cs = contours(config, ising)
+    cases = [(ising, random_configs(box, 2, 60, seed=17)), *wide_cases(seed=17)]
+    for model, config in ((m, c) for m, cs in cases for c in cs):
+        cs = contours(config, model)
         # canonical ordering
         assert [g.min_site for g in cs] == sorted(g.min_site for g in cs)
         # pairwise separation > r and disjoint improper sets
         for g1, g2 in itertools.combinations(cs, 2):
             dist = min(chebyshev_distance(x, y)
                        for x in g1.interior for y in g2.interior)
-            assert dist > ising.r
+            assert dist > model.r
             assert not (g1.improper_cubes & g2.improper_cubes)
-        # the boundary decomposes exactly
-        b = boundary(config, ising).improper_cubes
+        # the boundary decomposes exactly, each contour keeping the improper
+        # cubes it has alone
+        b = boundary(config, model).improper_cubes
         union = frozenset().union(*(g.improper_cubes for g in cs)) if cs else frozenset()
         assert union == b
         assert sum(g.size for g in cs) == len(b)
+        alone = Configuration.constant(config.box, config.exterior)
+        for g in cs:
+            assert g.size == len(g.improper_cubes) > 0
+            assert g.improper_cubes == boundary(alone.replace(g.marks()),
+                                                model).improper_cubes
 
 
 def test_remove_contour_single(ising):

@@ -115,7 +115,7 @@ def test_chunk_energies_match_a_cube_by_cube_oracle(case, picks):
     chunks = list(_chunk_ranges(q, box.size))
     assert chunks[0][0] == 0 and chunks[-1][1] == count
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    parts = [_chunk_rows(model, box, exterior, a, b) for a, b in chunks]
+    parts = [_chunk_rows(model, box, exterior, a) for a, _ in chunks]
     digits = np.concatenate([p[0] for p in parts])
     energies = np.concatenate([p[2] for p in parts])
     # every index appears once, in order, with its own digits
