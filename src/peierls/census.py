@@ -13,7 +13,8 @@ exact duplicate-free enumeration,
 
 The set enumerator grows a connected set from the root, trying each frontier
 candidate once and banning it afterwards, so every connected superset of the
-root is produced exactly once.
+root is produced exactly once.  It runs on integer cells in a window centred
+on the root (``CubeGraph``), where a neighbour or a cube site is one addition.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 from .contours import (Configuration, Contour, _box_index, _label_components,
                        contours as extract_contours)
 from .errors import CapacityError, InputError, VerificationError
-from .lattice import Box, Site, ball_offsets, cubes_meeting
+from .lattice import Box, Site, ball_offsets
 from .model import ModelSpec, require_certified
 
 DEFAULT_SET_BUDGET = 10_000_000
@@ -39,16 +40,30 @@ class CubeGraph:
     """The graph on range-r cube anchors with edges between intersecting cubes.
 
     Its neighbourhood is also the distance-r adjacency of sites, which is how
-    contour interiors are connected.
+    contour interiors are connected.  Sites are int cells: x is
+    sum_i (x_i - root_i) * W^(d-1-i) with W = 2*r*n_max + 1, which no two sites
+    within r*n_max of the root share: the sites of a connected set of at most
+    n_max sites containing the root, and of the cubes meeting it.  The ball
+    (``offsets``) and the cube {0..r}^d (``cube_offsets``) are cells too.
     """
 
-    def __init__(self, d: int, r: int):
-        self.d = d
-        self.r = r
-        self.offsets = ball_offsets(d, r)
+    def __init__(self, d: int, r: int, n_max: int = 1, root: Site | None = None):
+        self.width = 2 * r * n_max + 1
+        self.root = (0,) * d if root is None else root
+        weights = [self.width ** (d - 1 - i) for i in range(d)]
+        self.offsets, self.cube_offsets = (
+            [sum(o * w for o, w in zip(off, weights)) for off in offsets]
+            for offsets in (ball_offsets(d, r), itertools.product(range(r + 1), repeat=d)))
 
-    def neighbors(self, anchor: Site) -> list:
-        return [tuple(a + o for a, o in zip(anchor, off)) for off in self.offsets]
+    def site(self, cell: int) -> Site:
+        half, coords = self.width // 2, []
+        for c in reversed(self.root):
+            cell, o = divmod(cell + half, self.width)
+            coords.append(c + o - half)
+        return tuple(reversed(coords))
+
+    def neighbors(self, cell: int) -> list:
+        return [cell + o for o in self.offsets]
 
 
 def max_degree(d: int, r: int) -> int:
@@ -60,7 +75,7 @@ def max_degree(d: int, r: int) -> int:
 # Rooted connected-set enumeration
 # ---------------------------------------------------------------------------
 
-def _explore_rooted(root: Site, neighbors: Callable, n_max: int,
+def _explore_rooted(root, neighbors: Callable, n_max: int,
                     budget: int, visit: Callable) -> None:
     """Visit every connected set of size <= n_max containing the root once.
 
@@ -113,7 +128,7 @@ def rooted_subgraph_counts(d: int, r: int, n_max: int,
     def visit(size, _members):
         counts[size] += 1
 
-    _explore_rooted(root, CubeGraph(d, r).neighbors, n_max, budget, visit)
+    _explore_rooted(0, CubeGraph(d, r, n_max, root).neighbors, n_max, budget, visit)
     return counts
 
 
@@ -196,33 +211,33 @@ def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
     """
     d, r, q, s = model.d, model.r, model.q, model.s
     marks_allowed = [v for v in range(1, q + 1) if v != exterior]
-    cube_volume = (r + 1) ** d
-    ball = CubeGraph(d, r).neighbors
+    graph = CubeGraph(d, r, max_interior, x)
+    cube_offsets = graph.cube_offsets
 
-    def ball_within(site):
-        return [n for n in ball(site) if within.contains(n)]
+    def ball_within(cell):
+        return [n for n in graph.neighbors(cell) if within.contains(graph.site(n))]
 
     results = []
 
     def visit(size, members):
         results.append(members[:size])
 
-    _explore_rooted(x, ball if within is None else ball_within, max_interior,
-                    budget, visit)
+    _explore_rooted(0, graph.neighbors if within is None else ball_within,
+                    max_interior, budget, visit)
 
-    for sites in results:
-        position = {site: j for j, site in enumerate(sites)}
-        cube_members = [
-            [position[site] for site in cube.sites() if site in position]
-            for cube in cubes_meeting(sites, r)]
-        for marking in itertools.product(marks_allowed, repeat=len(sites)):
-            improper = 0
-            for inside in cube_members:
-                if len(inside) == cube_volume:
-                    first = marking[inside[0]]
-                    if first <= s and all(marking[j] == first for j in inside[1:]):
-                        continue  # constant sector pattern: proper
-                improper += 1
+    for cells in results:
+        position = {cell: j for j, cell in enumerate(cells)}
+        anchors = {cell - o for cell in cells for o in cube_offsets}
+        whole = [[position[a + o] for o in cube_offsets] for a in anchors
+                 if all(a + o in position for o in cube_offsets)]
+        partial = len(anchors) - len(whole)
+        sites = [graph.site(cell) for cell in cells]
+        for marking in itertools.product(marks_allowed, repeat=len(cells)):
+            improper = partial
+            for inside in whole:
+                first = marking[inside[0]]
+                if first > s or any(marking[j] != first for j in inside[1:]):
+                    improper += 1
             yield sites, marking, improper
 
 

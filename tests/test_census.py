@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -12,21 +13,24 @@ from peierls import (Box, CapacityError, Configuration, InputError,
                      subgraph_census, verify_connector_bound)
 from peierls import census
 from peierls.census import (EXACT_CONNECTOR_LIMIT, ConnectorReport,
-                            _greedy_connector_size, _steiner_min_vertices)
-from peierls.contours import _box_index, _label_components
+                            _greedy_connector_size, _iter_marked_interiors,
+                            _steiner_min_vertices)
+from peierls.contours import Contour, Subcontour, _box_index, _label_components
 from peierls.exact import full_sweep
+from peierls.lattice import Cube
+from peierls.model import builtin_model
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 
-def brute_rooted_sets(d, r, n):
-    """Count connected anchor sets of size n containing the origin by scanning
-    all subsets of a window (slow, obviously correct)."""
-    root = (0,) * d
-    window = [v for v in itertools.product(range(-(n - 1) * r, (n - 1) * r + 1),
-                                           repeat=d) if v != root]
+def brute_rooted_sets(d, r, n, root=None):
+    """Count connected anchor sets of size n containing the root (default the
+    origin) by scanning all subsets of a window (slow, obviously correct)."""
+    root = (0,) * d if root is None else root
+    window = [v for v in itertools.product(
+        *[range(c - (n - 1) * r, c + (n - 1) * r + 1) for c in root]) if v != root]
     count = 0
     for extra in itertools.combinations(window, n - 1):
         vertices = set(extra) | {root}
@@ -77,9 +81,16 @@ def test_rooted_subgraph_counts_small():
     assert counts[5] == 3190
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rooted_subgraph_counts_match_brute_force(n):
-    assert rooted_subgraph_counts(2, 1, n)[n] == brute_rooted_sets(2, 1, n)
+# n = n_max: the largest sets reach the edge of the census's window of cells
+@pytest.mark.parametrize("d, r, n, root, want", [
+    *[pytest.param(2, 1, n, None, None, id=str(n)) for n in [1, 2, 3, 4]],
+    (1, 1, 5, None, 5), (1, 2, 4, None, 32), (2, 2, 3, None, 540),
+    (3, 1, 3, None, 711), (3, 1, 3, (4, -7, 2), 711)])
+def test_rooted_subgraph_counts_match_brute_force(d, r, n, root, want):
+    got = rooted_subgraph_counts(d, r, n, root=root)[n]
+    assert got == brute_rooted_sets(d, r, n, root=root)
+    if want is not None:
+        assert got == want
 
 
 def test_rooted_counts_are_root_independent_and_monotone():
@@ -161,13 +172,38 @@ def test_contour_counts_examples(ising, potts3):
         assert rec.count <= rec.bound  # half (4 e k)^n
 
 
+# counts of sizes 1..12, recorded with the cube-by-cube census; a contour
+# at n_max is one whose interior reaches the edge of the window of cells
+@pytest.mark.parametrize("spec, cap, want", [
+    ("potts:q=2,r=2", 3, [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 4]),
+    ("potts:d=3,r=1,q=2", 2, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 6]),
+])
+def test_contour_counts_are_pinned(spec, cap, want):
+    model = builtin_model(spec)
+    report = rooted_contour_counts(model, (0,) * model.d, 12, max_interior=cap)
+    assert [rec.count for rec in report.records] == want
+
+
+def test_marked_interior_stream_is_pinned():
+    # every (sites, marks, improper) in order, as recorded with the
+    # cube-by-cube census: 3,699 interiors of up to 5 sites, 109,634 markings
+    digest = hashlib.sha256()
+    count = 0
+    for item in _iter_marked_interiors(builtin_model("potts:q=3"), (0, 0), 1, 5,
+                                       10 ** 7):
+        digest.update(repr(item).encode())
+        count += 1
+    assert count == 109_634
+    assert digest.hexdigest() == (
+        "2f085fd393b4cc53f292b11d6f9734623c0272e7b946afc4c7f9f7edbdb7cbc4")
+
+
 def test_contour_counts_match_window_sweep_oracle(ising, potts3):
     # both sides restricted to interiors inside the same 3x3 window
     window = Box((-1, -1), (1, 1))
     for model in (ising, potts3):
         oracle = brute_contour_counts_within_window(model, window, (0, 0))
         got = {}
-        from peierls.census import _iter_marked_interiors
         for sites, marks, improper in _iter_marked_interiors(
                 model, (0, 0), exterior=1, max_interior=9, budget=10 ** 6,
                 within=window):
@@ -317,8 +353,6 @@ def test_greedy_connector_size_ignores_the_terminal_order():
 
 
 def test_connector_constructive_mode():
-    from peierls.contours import Contour, Subcontour
-    from peierls.lattice import Cube
     # 9 spread-out terminals force the constructive path
     assert EXACT_CONNECTOR_LIMIT == 8
     anchors = [(2 * i, 0) for i in range(9)]
@@ -332,3 +366,50 @@ def test_connector_constructive_mode():
     # chain of 9 cubes 2 apart needs one bridge per gap: 17 <= 18
     assert report.connector_size == 17
     assert report.passes
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: each check fails when its claim is false at its input
+# ---------------------------------------------------------------------------
+
+def test_subgraph_census_fails_below_the_counts(monkeypatch):
+    # degree 1: (e*1)^2 < 8, so every size from 2 on is over its bound
+    monkeypatch.setattr(census, "max_degree", lambda d, r: 1)
+    with pytest.raises(VerificationError) as caught:
+        subgraph_census(2, 1, 4)
+    report = caught.value.details
+    assert isinstance(report, census.CensusReport) and report.k == 1
+    assert [rec.n for rec in report.violations()] == [2, 3, 4]
+
+
+def test_contour_census_fails_below_the_counts(ising, monkeypatch):
+    # degree 1 leaves (4e)^n / 2 far above ising's few contours; a degree of
+    # 1/(4e) puts every bound at 1/2, below each size that has a contour
+    monkeypatch.setattr(census, "max_degree", lambda d, r: 1)
+    assert rooted_contour_counts(ising, (0, 0), 8).violations() == ()
+    monkeypatch.setattr(census, "max_degree", lambda d, r: 1 / (4 * math.e))
+    with pytest.raises(VerificationError) as caught:
+        rooted_contour_counts(ising, (0, 0), 8)
+    report = caught.value.details
+    assert isinstance(report, census.CensusReport) and report.kind == "contours"
+    assert [(rec.n, rec.count) for rec in report.violations()] == [
+        (4, 1), (6, 4), (7, 4), (8, 22)]
+
+
+def _spread_contour(anchors):
+    return Contour(subcontours=(Subcontour(frozenset({(0, 0)}), 2),),
+                   interior=frozenset({(0, 0)}),
+                   improper_cubes=frozenset(Cube(a, 1) for a in anchors),
+                   size=len(anchors))
+
+
+def test_connector_bound_fails_for_cubes_too_far_apart():
+    # two cubes 10 apart need 9 more between them: 11 > 2 * 2
+    report = verify_connector_bound(_spread_contour([(0, 0), (10, 0)]))
+    assert report == ConnectorReport(connector_size=11, bound=4, passes=False,
+                                     exact=True)
+    # 9 cubes 10 apart, past the exact limit: the greedy connector 9 + 8 * 9
+    anchors = [(10 * i, 0) for i in range(EXACT_CONNECTOR_LIMIT + 1)]
+    report = verify_connector_bound(_spread_contour(anchors))
+    assert report == ConnectorReport(connector_size=81, bound=18, passes=False,
+                                     exact=False)

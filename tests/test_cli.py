@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from peierls import Box, Configuration, potts_model
-from peierls import cli
+from peierls import (Box, Configuration, FiniteVolumeEnsemble, VerificationError,
+                     potts_model, verify_peierls_bound)
+from peierls import census, cli, exact
 from peierls.cli import main, parse_box, parse_site
 from peierls.io import load_manifest, save_configuration, save_model
 
@@ -245,6 +247,58 @@ def test_stray_exception_exits_four(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "internal error" in err and "IndexError" in err
+
+
+# Negative controls: each check fails, with exit 1, when its claim is false at
+# its input.  None changes a check, a tolerance or a pinned output.
+
+def test_census_fails_below_the_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(census, "max_degree", lambda d, r: 1)  # (e*1)^2 < 8
+    assert main(["census", "--n-max", "4", "--out", str(tmp_path / "o")]) == 1
+    assert "verification FAILED" in capsys.readouterr().err
+
+
+def test_verify_fails_with_three_times_the_gap(tmp_path, capsys, monkeypatch):
+    # on ising 3x3 at beta 0.5 the bound for size 4 becomes e^-12, about
+    # 6.1e-6, far below the probability of a single flipped site
+    check_sweep = exact._check_sweep
+
+    def tripled(*args):
+        report = check_sweep(*args)
+        return dataclasses.replace(report, gap=3 * report.gap)
+
+    monkeypatch.setattr(exact, "_check_sweep", tripled)
+    assert main(["verify", "--builtin", "ising", "--box", "3x3", "--betas", "0.5",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "FAILED" in capsys.readouterr().out
+    ens = FiniteVolumeEnsemble(box=Box((0, 0), (2, 2)), exterior=1, beta=0.5,
+                               model=potts_model(q=2))
+    with pytest.raises(VerificationError) as caught:
+        verify_peierls_bound(ens)
+    witness = caught.value.witness
+    assert witness.bound < witness.probability
+
+
+def test_contours_reports_a_broken_decomposition(tmp_path, capsys, monkeypatch):
+    boundary = cli.boundary
+
+    def one_cube_short(config, model):
+        found = boundary(config, model)
+        first = min(found.improper_cubes, key=lambda cube: cube.anchor)
+        return dataclasses.replace(found, improper_cubes=found.improper_cubes - {first})
+
+    monkeypatch.setattr(cli, "boundary", one_cube_short)
+    model = potts_model(q=2)
+    save_model(model, tmp_path / "model.txt")
+    config = Configuration.constant(Box((0, 0), (3, 3)), 1).replace({(1, 1): 2})
+    save_configuration(config, model, tmp_path / "config.txt")
+    out = tmp_path / "run"
+    assert main(["contours", "--model", str(tmp_path / "model.txt"),
+                 str(tmp_path / "config.txt"), "--out", str(out)]) == 1
+    assert "decomposition BROKEN" in capsys.readouterr().out
+    payload = json.loads((out / "contours.json").read_text())
+    assert (payload["boundary_size"], payload["contour_size_sum"]) == (3, 4)
+    assert payload["decomposition_ok"] is False
 
 
 # Command lines whose manifest.json bytes are pinned in tests/manifests/, once
