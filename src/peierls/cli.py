@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -208,17 +209,18 @@ def _run_verify(params: dict, out_dir: Path) -> tuple:
     stats = contour_statistics(model, box, params["exterior"], betas,
                                budget=params.get("budget"),
                                workers=params.get("workers", 1))
-    # every beta has the same contours: name each once, stream the rows
-    ids = {rec.contour: _contour_id(rec.contour)
-           for st in stats[:1] for rec in st.records}
+    # every beta holds the same serial objects: name each contour once
+    ids = {id(c): _contour_id(c) for st in stats[:1] for c in st.contours}
     write_csv(out_dir / "peierls_bounds.csv",
               ["beta", "contour_id", "size", "probability", "bound", "slack"],
-              ((beta, ids[rec.contour], rec.size, rec.probability, rec.bound, rec.slack)
-               for st in stats for beta in [format_cell(st.beta)] for rec in st.records))
+              (row for st in stats for row in zip(
+                  [format_cell(st.beta)] * len(st.contours), [ids[id(c)] for c in st.contours],
+                  st.sizes, st.probabilities, st.bounds,
+                  map(float.__sub__, st.bounds, st.probabilities))))
     violated = sum(len(st.violations) for st in stats)
     for st in stats:
-        worst = st.records[0].slack if st.records else float("inf")
-        print(f"beta {st.beta:g}: {len(st.records)} realizable contours, "
+        worst = st.bounds[0] - st.probabilities[0] if st.contours else float("inf")
+        print(f"beta {st.beta:g}: {len(st.contours)} realizable contours, "
               f"min slack {worst:.6g}, violations {len(st.violations)}")
     if violated:
         print(f"FAILED: {violated} contour(s) above the probability bound")
@@ -523,8 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dash_values(argv) -> list:
+    """``--site -1,0`` -> ``--site=-1,0``: argparse takes a value starting
+    with a minus sign for an option unless it is a plain negative number."""
+    out = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_dash_values(argv))
     out_dir = Path(args.out)
     try:
         try:

@@ -169,9 +169,10 @@ def _box_index(box: Box, r: int) -> _BoxIndex:
 
 
 class _Grid:
-    """A box index specialized to one model: energy tables and cube codes."""
+    """A box index specialized to one model: energy tables, cube codes and
+    the (site, mark) ``pairs`` that ``_light_contours`` keys index."""
 
-    __slots__ = ("bx", "model", "tables", "powers")
+    __slots__ = ("bx", "model", "tables", "powers", "pairs")
 
     def __init__(self, model: ModelSpec, box: Box):
         if box.dimension != model.d:
@@ -181,6 +182,8 @@ class _Grid:
         self.model = model
         self.tables = _tables(model)
         self.powers = np.array(self.tables.powers, dtype=np.int64)
+        self.pairs = tuple((site, digit + 1) for site in self.bx.sites
+                           for digit in range(model.q))
 
     def codes(self, digits, ext_digit: int) -> np.ndarray:
         """Pattern codes of every cube meeting the box, for each digit row.
@@ -203,7 +206,7 @@ class _Grid:
 
 
 # A grid shares its model's tables and its box's index with other grids and
-# owns only the powers of q, so caching many grids costs little.
+# owns only the powers of q and q pairs per site: caching many costs little.
 @functools.lru_cache(maxsize=16)
 def _grid(model: ModelSpec, box: Box) -> _Grid:
     return _Grid(model, box)
@@ -241,30 +244,37 @@ def _light_contours(digits: Sequence[int], ext_digit: int, improper: Sequence[in
     sweeps and ``contours()``.
 
     ``digits`` holds each flat site's spin minus one, and ``improper`` the
-    indices of the grid's improper cubes.  Returns one (serial, cubes) pair
-    per contour, in order of smallest site: serial is the canonical sorted
-    tuple of (site, mark) pairs (flat order is row-major, so lexicographic),
-    and cubes lists the contour's improper cubes.  Contours lie farther than
-    r apart, so an improper cube's first deviating site names its contour.
+    indices of the grid's improper cubes.  Returns one (key, cubes) pair per
+    contour, in order of smallest site: key is the tuple of k * q + digit
+    over its deviating flat sites k, increasing, and ``_serial`` makes it the
+    sorted (site, mark) serial (flat order is row-major, so lexicographic,
+    and mark = digit + 1: keys sort as serials do); cubes lists its improper
+    cubes.  Contours lie farther than r apart, so an improper cube's first
+    deviating site names its contour.
     """
-    bx = grid.bx
-    dev = [k for k in range(bx.n) if digits[k] != ext_digit]
+    bx, q = grid.bx, grid.model.q
+    dev = [k for k, digit in enumerate(digits) if digit != ext_digit]
     if not dev:
         return ()
     labels = _label_components(dev, bx.ball)
     n_comp = max(labels.values()) + 1
     if n_comp == 1:  # an improper cube is not all exterior, so all are its
-        return ((tuple([(bx.sites[k], digits[k] + 1) for k in dev]), improper),)
+        return ((tuple([k * q + digits[k] for k in dev]), improper),)
     cubes = [[] for _ in range(n_comp)]
     for j in improper:
         for k in bx.cube_site_idx[j]:
             if digits[k] != ext_digit:
                 cubes[labels[k]].append(j)
                 break
-    groups = [[] for _ in range(n_comp)]
+    keys = [[] for _ in range(n_comp)]
     for k in dev:
-        groups[labels[k]].append((bx.sites[k], digits[k] + 1))
-    return tuple(zip(map(tuple, groups), cubes))
+        keys[labels[k]].append(k * q + digits[k])
+    return tuple(zip(map(tuple, keys), cubes))
+
+
+def _serial(key: tuple, grid: _Grid) -> tuple:
+    """The canonical sorted (site, mark) pairs of a ``_light_contours`` key."""
+    return tuple(map(grid.pairs.__getitem__, key))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,8 @@ def contours(config: Configuration, model: ModelSpec) -> list:
     grid = _grid(model, config.box)
     digits, ext_digit = [v - 1 for v in config.spins], config.exterior - 1
     [improper] = grid.improper_cubes(grid.codes([digits], ext_digit))
-    found = _light_contours(digits, ext_digit, improper, grid)
+    found = [(_serial(key, grid), cubes)
+             for key, cubes in _light_contours(digits, ext_digit, improper, grid)]
     contour_of = {site: c for c, (serial, _) in enumerate(found) for site, _ in serial}
     subs = [[] for _ in found]
     for sub in subcontours(config):  # ordered by smallest site

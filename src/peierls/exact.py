@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contours import Configuration, Contour, _grid, _light_contours
+from .contours import Configuration, Contour, _grid, _light_contours, _serial
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site
 from .model import ModelSpec, digits_of, require_certified
@@ -88,14 +88,28 @@ class ContourRecord:
 
 @dataclass(frozen=True)
 class ContourStatistics:
+    """Every realizable contour at one beta as columns, tightest first: the
+    (site, mark) serials, sizes, probabilities and bounds.  All betas of one
+    ``contour_statistics`` call share the serial objects.  ``records`` and
+    ``violations`` build ContourRecords on demand."""
+
     beta: float
     gap: float
-    records: tuple
     config_count: int
+    contours: tuple
+    sizes: tuple
+    probabilities: tuple
+    bounds: tuple
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        return tuple(map(ContourRecord, self.contours, self.sizes,
+                         self.probabilities, self.bounds))
 
     @functools.cached_property
     def violations(self) -> tuple:
-        return tuple(rec for rec in self.records if rec.slack < -BOUND_TOL)
+        return tuple(ContourRecord(c, n, p, b) for c, n, p, b in zip(
+            self.contours, self.sizes, self.probabilities, self.bounds) if b - p < -BOUND_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +368,22 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
 
 def _contour_task(args):
     """Over one chunk: the weight sum at each beta, and the chunk's contours
-    as a table: their serials in first-seen order, their sizes, and the
-    weight sums of the configurations holding each, one row per contour and
-    one column per beta."""
+    as a table: their ``_light_contours`` keys in first-seen order, their
+    sizes, and the weight sums of the configurations holding each, one row
+    per contour and one column per beta."""
     model, box, exterior, betas, start, _ = args
     grid = _grid(model, box)
     digits, codes, energies = _chunk_rows(model, box, exterior, start)
     weights = [np.exp(-beta * energies) for beta in betas]
-    ids, sizes, pairs = {}, [], []  # serial -> contour id; sizes; (contour id, row)
+    ids, sizes, contour, rows = {}, [], [], []  # key -> id; sizes; each record's id, row
     improper = grid.improper_cubes(codes)
     for row, (digit_row, cubes) in enumerate(zip(digits.tolist(), improper)):
-        for serial, owned in _light_contours(digit_row, exterior - 1, cubes, grid):
-            contour = ids.setdefault(serial, len(ids))
-            if contour == len(sizes):
+        for key, owned in _light_contours(digit_row, exterior - 1, cubes, grid):
+            c = ids.setdefault(key, len(ids))
+            if c == len(sizes):
                 sizes.append(len(owned))
-            pairs.append((contour, row))
-    contour, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            contour.append(c)
+            rows.append(row)
     sums = np.stack([np.bincount(contour, weights=w[rows], minlength=len(ids))
                      for w in weights], axis=1)
     return tuple(float(w.sum()) for w in weights), list(ids), sizes, sums
@@ -381,28 +395,32 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
     """Exact probability of every realizable contour at each beta.
 
     One sweep serves all betas (contour decompositions are beta-free).
-    Returns one ContourStatistics per beta with records sorted by slack
+    Returns one ContourStatistics per beta with its rows sorted by slack
     against exp(-beta * gap * size), tightest first, ties by contour.
+    Contours travel as ``_light_contours`` keys, which sort as their serials
+    do; a serial is built once per distinct contour.
     """
     report = _check_sweep(model, box, exterior, betas, budget)
     if len(betas) == 0:
         return []
     z_parts, sizes = [], []
-    row_of = {}  # serial -> its row of sizes and total, in first-seen order
+    row_of = {}  # key -> its row of sizes and total, in first-seen order
     total = np.zeros((0, len(betas)))
-    for chunk_zs, chunk_serials, chunk_sizes, sums in _run_chunks(
+    for chunk_zs, chunk_keys, chunk_sizes, sums in _run_chunks(
             _contour_task, (model, box, exterior, tuple(betas)), workers):
         z_parts.append(chunk_zs)
         seen = len(sizes)
-        idx = [row_of.setdefault(serial, len(row_of)) for serial in chunk_serials]
+        idx = [row_of.setdefault(key, len(row_of)) for key in chunk_keys]
         sizes.extend(size for i, size in zip(idx, chunk_sizes) if i >= seen)
         if len(sizes) > len(total):  # grow by doubling
             total = np.concatenate([total, np.zeros((max(len(sizes), 2 * len(total))
                                                      - len(total), len(betas)))])
         total[idx] += sums  # rows are distinct: one addition per row, in chunk order
-    serials = list(row_of)
-    rank = np.empty(len(serials), dtype=np.int64)
-    rank[sorted(range(len(serials)), key=serials.__getitem__)] = np.arange(len(serials))
+    keys = list(row_of)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    grid = _grid(model, box)
+    serials = [_serial(key, grid) for key in keys]
     distinct, of_size = np.unique(np.array(sizes, dtype=np.int64), return_inverse=True)
     out = []
     for bi, beta in enumerate(betas):
@@ -410,12 +428,13 @@ def contour_statistics(model: ModelSpec, box: Box, exterior: int,
         p = total[:len(sizes), bi] / z
         bound = np.array([math.exp(-beta * report.gap * size)
                           for size in distinct.tolist()])[of_size]
-        order = np.lexsort((rank, bound - p)).tolist()
+        order = np.lexsort((rank, bound - p))
         out.append(ContourStatistics(
             beta=beta, gap=report.gap, config_count=model.q ** box.size,
-            records=tuple(map(ContourRecord, [serials[i] for i in order],
-                              [sizes[i] for i in order], p[order].tolist(),
-                              bound[order].tolist()))))
+            contours=tuple(map(serials.__getitem__, order.tolist())),
+            sizes=tuple(distinct[of_size[order]].tolist()),
+            probabilities=tuple(p[order].tolist()),
+            bounds=tuple(bound[order].tolist())))
     return out
 
 
@@ -447,10 +466,7 @@ def contour_probability(ens: FiniteVolumeEnsemble, gamma: Contour,
     target = gamma.serial()
     stats = contour_statistics(ens.model, ens.box, ens.exterior, [ens.beta],
                                budget=budget, workers=workers)[0]
-    for rec in stats.records:
-        if rec.contour == target:
-            return rec.probability
-    return 0.0
+    return dict(zip(stats.contours, stats.probabilities)).get(target, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +499,8 @@ def full_sweep(model: ModelSpec, box: Box, exterior: int,
         energies[start:stop] = e
         for digit_row, cubes in zip(digits.tolist(), grid.improper_cubes(codes)):
             found = _light_contours(digit_row, ext_digit, cubes, grid)
-            all_contours.append(tuple((serial, len(owned)) for serial, owned in found))
+            all_contours.append(tuple((_serial(key, grid), len(owned))
+                                      for key, owned in found))
     return SweepTable(box=box, exterior=exterior, model=model,
                       energies=energies, contours=all_contours)
 

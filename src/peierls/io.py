@@ -29,7 +29,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -265,21 +267,60 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# Cells of these exact types skip format_cell's checks (a float is formatted
-# as format_float does); any other type, numpy scalars included, goes
-# through format_cell.
-_CELL_FORMATS = {str: str, int: str, float: "{:.17g}".format}
+# Rows are formatted by column, _BLOCK at a time, and a memo is cleared once
+# it holds _MEMO_CAP texts, so memory stays bounded.
+_BLOCK, _MEMO_CAP = 4096, 1 << 16
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+class _Memo(dict):
+    """Cell -> ``field(cell)``, computed once per distinct cell.  Falsy cells
+    are not kept: 0.0 == -0.0, yet their texts differ."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, cell):
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        text = self.field(cell)
+        if cell:
+            self[cell] = text
+        return text
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows; ``rows`` may be a generator, read once."""
+    """Write a header and rows; ``rows`` may be a generator, read once.
+
+    The bytes are those of ``csv.writer`` over ``format_cell`` texts, built
+    by column, a block of rows at a time: each distinct float is formatted,
+    and each distinct text quoted, once.  A row whose cell count is not the
+    header's, or any row under an empty header, raises InputError; the
+    blocks before it stay written.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    get = _CELL_FORMATS.get
+    floats = _Memo("{:.17g}".format)
+    quoted = _Memo(lambda t: '"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES(t) else t)
+
+    def fields(cells):  # exact floats and ints never need quotes
+        kinds = set(map(type, cells))
+        if kinds == {float}:
+            return map(floats.__getitem__, cells)
+        if kinds == {int}:
+            return map(str, cells)
+        return map(quoted.__getitem__, cells if kinds == {str} else map(format_cell, cells))
+
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([get(type(v), format_cell)(v) for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        for block in iter(lambda: list(islice(rows, _BLOCK)), []):
+            if not header or set(map(len, block)) != {len(header)}:
+                raise InputError(f"{path}: a row's cell count differs from the header's")
+            columns = [fields(cells) for cells in zip(*block)]
+            if len(columns) == 1:  # csv.writer quotes a lone empty field
+                columns[0] = (field or '""' for field in columns[0])
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def sha256_file(path) -> str:

@@ -145,6 +145,34 @@ def test_verify_census_sample_coexist_and_rerun_byte_identical(tmp_path):
             original.startswith(b"box")
 
 
+# Options whose value starts with a minus sign, once as two arguments and once
+# as --opt=value; both forms must run and write the same manifest and CSVs.
+DASH_VALUE_CASES = [
+    (["verify", "--builtin", "ising", "--box", "-1..1,-1..1", "--betas", "1"],
+     ["verify", "--builtin", "ising", "--box=-1..1,-1..1", "--betas", "1"]),
+    (["coexist", "--builtin", "ising", "--boxes", "-1..1,-1..1", "--betas", "1"],
+     ["coexist", "--builtin", "ising", "--boxes=-1..1,-1..1", "--betas", "1"]),
+    (["census", "--n-max", "3", "--builtin", "ising", "--site", "-1,0"],
+     ["census", "--n-max", "3", "--builtin", "ising", "--site=-1,0"]),
+    (["sample", "--builtin", "ising", "--box", "-1..1,-1..1", "--beta", "0.5",
+      "--sweeps", "10", "--site", "-1,0"],
+     ["sample", "--builtin", "ising", "--box=-1..1,-1..1", "--beta", "0.5",
+      "--sweeps", "10", "--site=-1,0"]),
+]
+
+
+@pytest.mark.parametrize("separate,glued", DASH_VALUE_CASES,
+                         ids=[case[0][0] for case in DASH_VALUE_CASES])
+def test_negative_coordinates_as_separate_arguments(tmp_path, separate, glued):
+    outputs = []
+    for form, argv in (("separate", separate), ("glued", glued)):
+        out = tmp_path / form
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert "manifest.json" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_rerun_detects_model_file_change(tmp_path):
     model = potts_model(q=2)
     mpath = tmp_path / "model.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -13,13 +14,13 @@ from peierls import (Box, CapacityError, CertificationError, Configuration,
                      potts_model, verify_peierls_bound)
 from peierls import exact
 from peierls.cli import main
-from peierls.contours import _box_index, _grid
-from peierls.exact import (CHUNK, _chunk_ranges, _low_table, _pool_size,
-                           contour_statistics, full_sweep)
+from peierls.contours import _box_index, _grid, _light_contours, _serial
+from peierls.exact import (BOUND_TOL, CHUNK, _chunk_ranges, _contour_task, _low_table,
+                           _pool_size, contour_statistics, full_sweep)
 from peierls.lattice import _box_sites
-from peierls.model import _tables, check_symmetry, verify_ground_states
+from peierls.model import _tables, builtin_model, check_symmetry, verify_ground_states
 
-from conftest import single_flip
+from conftest import random_configs, single_flip
 
 
 def oracle_distribution(model, box, exterior, beta):
@@ -180,6 +181,57 @@ def test_verify_peierls_bound_all_pass(ising):
         assert slacks == sorted(slacks)
 
 
+@pytest.mark.parametrize("spec", ["potts:q=3", "potts:q=3,r=2"])
+def test_records_and_violations_match_the_columns(spec):
+    model, box = builtin_model(spec), Box.from_shape((3, 3))
+    stats = contour_statistics(model, box, 1, [0.5, 2.0])
+    # the CLI names each contour once: every beta holds the same serial objects
+    assert {id(c) for c in stats[0].contours} == {id(c) for c in stats[1].contours}
+    for st in stats:
+        columns = list(zip(st.contours, st.sizes, st.probabilities, st.bounds))
+        assert len(columns) == len(st.records) > 0
+        assert [(rec.contour, rec.size, rec.probability, rec.bound)
+                for rec in st.records] == columns
+        # every third row's bound moved just below its probability
+        shrunk = dataclasses.replace(st, bounds=tuple(
+            p - 1e-9 if i % 3 == 0 else b
+            for i, (p, b) in enumerate(zip(st.probabilities, st.bounds))))
+        for stat in (st, shrunk):
+            want = tuple(rec for rec in stat.records if rec.slack < -BOUND_TOL)
+            assert stat.violations == want
+        assert len(shrunk.violations) == (len(columns) + 2) // 3
+
+
+@pytest.mark.parametrize("spec", ["potts:q=3", "potts:q=3,r=2"])
+def test_contour_keys_sort_as_their_serials(spec):
+    model, box = builtin_model(spec), Box.from_shape((3, 3))
+    grid = _grid(model, box)
+    keys = {key for start, stop in _chunk_ranges(model.q, box.size)
+            for key in _contour_task((model, box, 1, (1.0,), start, stop))[1]}
+    serials = [_serial(key, grid) for key in keys]
+    assert len(set(serials)) == len(keys)
+    assert [_serial(key, grid) for key in sorted(keys)] == sorted(serials)
+    # a key's serial is the one Contour.serial() reads from the subcontours
+    for config in random_configs(box, model.q, 20, seed=4):
+        digits = [v - 1 for v in config.spins]
+        [improper] = grid.improper_cubes(grid.codes([digits], 0))
+        found = _light_contours(digits, 0, improper, grid)
+        assert ([_serial(key, grid) for key, _ in found]
+                == [g.serial() for g in contours(config, model)])
+
+
+def test_contour_probability_finds_a_contour_by_its_serial():
+    model, box = builtin_model("potts:q=3"), Box.from_shape((3, 3))
+    ens = FiniteVolumeEnsemble(box=box, exterior=1, beta=0.5, model=model)
+    [st] = contour_statistics(model, box, 1, [0.5])
+    probability = dict(zip(st.contours, st.probabilities))
+    config = Configuration.constant(box, 1).replace({(0, 0): 2, (0, 1): 3, (2, 2): 3})
+    found = contours(config, model)
+    assert len(found) == 2
+    for gamma in found:
+        assert contour_probability(ens, gamma) == probability[gamma.serial()] > 0
+
+
 def test_sweep_energies_match_conditional_hamiltonian(ising):
     box = Box((0, 0), (2, 2))
     sw = full_sweep(ising, box, 1)
@@ -240,6 +292,24 @@ def test_dlr_consistency(ising):
     assert dlr_consistency(ens0, Box((1, 1), (1, 1))) <= 1e-12
     with pytest.raises(InputError):
         dlr_consistency(ens, Box((2, 2), (3, 3)))
+
+
+def test_dlr_consistency_detects_a_marginal_at_another_beta(ising, monkeypatch):
+    # negative control: a joint sweep whose sub-box marginal comes from
+    # another beta must read far above the 1e-10 the checks accept
+    real = exact._marginals
+
+    def shifted(model, box, exterior, betas, groups, workers):
+        [(z, (_, annulus))] = real(model, box, exterior, betas, groups, workers)
+        [(_, (sub, _))] = real(model, box, exterior, [b / 2 for b in betas],
+                               groups, workers)
+        return [(z, (sub, annulus))]
+
+    monkeypatch.setattr(exact, "_marginals", shifted)
+    ens = FiniteVolumeEnsemble(box=Box((0, 0), (2, 2)), exterior=1, beta=0.5,
+                               model=ising)
+    assert dlr_consistency(ens, Box((1, 1), (1, 1))) > 1e-2
+    assert dlr_consistency(ens, Box((0, 0), (1, 1))) > 1e-2
 
 
 def test_workers_below_one_are_refused(ising):
