@@ -209,12 +209,12 @@ def _run_verify(params: dict, out_dir: Path) -> tuple:
     stats = contour_statistics(model, box, params["exterior"], betas,
                                budget=params.get("budget"),
                                workers=params.get("workers", 1))
-    # every beta holds the same serial objects: name each contour once
-    ids = {id(c): _contour_id(c) for st in stats[:1] for c in st.contours}
+    # every beta has the same contours: name each once, stream the rows
+    ids = {c: _contour_id(c) for st in stats[:1] for c in st.contours}
     write_csv(out_dir / "peierls_bounds.csv",
               ["beta", "contour_id", "size", "probability", "bound", "slack"],
               (row for st in stats for row in zip(
-                  [format_cell(st.beta)] * len(st.contours), [ids[id(c)] for c in st.contours],
+                  [format_cell(st.beta)] * len(st.contours), map(ids.__getitem__, st.contours),
                   st.sizes, st.probabilities, st.bounds,
                   map(float.__sub__, st.bounds, st.probabilities))))
     violated = sum(len(st.violations) for st in stats)

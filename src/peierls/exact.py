@@ -90,8 +90,8 @@ class ContourRecord:
 class ContourStatistics:
     """Every realizable contour at one beta as columns, tightest first: the
     (site, mark) serials, sizes, probabilities and bounds.  All betas of one
-    ``contour_statistics`` call share the serial objects.  ``records`` and
-    ``violations`` build ContourRecords on demand."""
+    ``contour_statistics`` call hold the same contours, each serial built
+    once.  ``records`` and ``violations`` build ContourRecords on demand."""
 
     beta: float
     gap: float

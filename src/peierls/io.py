@@ -267,9 +267,9 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# Rows are formatted by column, _BLOCK at a time, and a memo is cleared once
-# it holds _MEMO_CAP texts, so memory stays bounded.
-_BLOCK, _MEMO_CAP = 4096, 1 << 16
+# Rows are formatted by column, _BLOCK at a time, each column of a block
+# with a fresh memo, so memory stays bounded by the block.
+_BLOCK = 4096
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
@@ -281,46 +281,47 @@ class _Memo(dict):
         self.field = field
 
     def __missing__(self, cell):
-        if len(self) >= _MEMO_CAP:
-            self.clear()
         text = self.field(cell)
         if cell:
             self[cell] = text
         return text
 
 
+def _quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _column(cells) -> Iterable[str]:
+    """One column's CSV fields; exact floats and ints never need quotes."""
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return map(str, cells)
+    if kinds == {float}:
+        return map(_Memo("{:.17g}".format).__getitem__, cells)
+    return map(_Memo(_quote).__getitem__, cells if kinds == {str} else map(format_cell, cells))
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows; ``rows`` may be a generator, read once.
 
-    The bytes are those of ``csv.writer`` over ``format_cell`` texts, built
-    by column, a block of rows at a time: each distinct float is formatted,
-    and each distinct text quoted, once.  A row whose cell count is not the
-    header's, or any row under an empty header, raises InputError; the
-    blocks before it stay written.
+    The bytes are those of ``csv.writer`` over ``format_cell`` texts.  A
+    block of rows of one width, two or more, is built by column: within a
+    column of a block each distinct float is formatted, and each distinct
+    text quoted, once.  Any other block (ragged rows, one or no cells) goes
+    through ``csv.writer``, so ragged rows are written as given.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    floats = _Memo("{:.17g}".format)
-    quoted = _Memo(lambda t: '"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES(t) else t)
-
-    def fields(cells):  # exact floats and ints never need quotes
-        kinds = set(map(type, cells))
-        if kinds == {float}:
-            return map(floats.__getitem__, cells)
-        if kinds == {int}:
-            return map(str, cells)
-        return map(quoted.__getitem__, cells if kinds == {str} else map(format_cell, cells))
-
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        writer = csv.writer(fh)
+        writer.writerow(header)
         for block in iter(lambda: list(islice(rows, _BLOCK)), []):
-            if not header or set(map(len, block)) != {len(header)}:
-                raise InputError(f"{path}: a row's cell count differs from the header's")
-            columns = [fields(cells) for cells in zip(*block)]
-            if len(columns) == 1:  # csv.writer quotes a lone empty field
-                columns[0] = (field or '""' for field in columns[0])
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            if len(set(map(len, block))) > 1 or len(block[0]) < 2:
+                writer.writerows([format_cell(v) for v in row] for row in block)
+            else:
+                columns = map(_column, zip(*block))
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def sha256_file(path) -> str:
