@@ -7,13 +7,15 @@ exact duplicate-free enumeration,
 * connected vertex sets of a given size containing a fixed root cube,
   against the bound (e*k)^n where k is the graph degree;
 * contours rooted at a fixed site (marked connected site sets together with
-  their improper-cube count), against the bound (4*e*k)^n / 2;
+  their improper-cube count), against the bound (4*e*k)^n / 2; the report
+  keeps the contours it counted, and the roundtrip plants exactly those;
 * the size of a minimal connected cube set containing a contour's improper
   cubes, against twice the contour size.
 
 The set enumerator grows a connected set from the root, trying each frontier
 candidate once and banning it afterwards, so every connected superset of the
-root is produced exactly once.  It runs on integer cells in a window centred
+root is produced exactly once.  It recurses once per set size and refuses
+sizes above ``MAX_SET_SIZE``.  It runs on integer cells in a window centred
 on the root (``CubeGraph``), where a neighbour or a cube site is one addition.
 """
 
@@ -33,6 +35,7 @@ from .lattice import Box, Site, ball_offsets
 from .model import ModelSpec, require_certified
 
 DEFAULT_SET_BUDGET = 10_000_000
+MAX_SET_SIZE = 256  # the enumerator recurses once per set size
 EXACT_CONNECTOR_LIMIT = 8  # terminals; the subset DP holds 2^t rows
 
 
@@ -85,6 +88,8 @@ def _explore_rooted(root, neighbors: Callable, n_max: int,
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    if n_max > MAX_SET_SIZE:
+        raise InputError(f"set size {n_max} is above the limit {MAX_SET_SIZE}")
     seen = {root}
     members = []
     visited = 0
@@ -149,6 +154,8 @@ class CensusReport:
     k: int
     records: tuple
     interior_cap: int | None = None
+    contours: tuple = ()  # counted (serial, size) pairs, serial = sorted (site, mark)
+    exterior: int | None = None  # the boundary spin the contours were counted for
 
     def violations(self) -> tuple:
         return tuple(rec for rec in self.records if rec.count > rec.bound)
@@ -171,30 +178,6 @@ def subgraph_census(d: int, r: int, n_max: int,
 # ---------------------------------------------------------------------------
 # Rooted contour enumeration
 # ---------------------------------------------------------------------------
-
-def _check_contour_census(model: ModelSpec, x: Site, n_max: int, exterior: int,
-                          max_interior: int | None) -> int:
-    """Refuse a rooted-contour enumeration before it starts; checks the
-    model's certificate, the root site's dimension, the exterior spin and
-    the interior cap, in that order.  Returns the interior cap."""
-    require_certified(model)
-    if len(x) != model.d:
-        raise InputError(f"site {x} has dimension {len(x)}, need {model.d}")
-    if not 1 <= exterior <= model.s:
-        raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
-    if max_interior is not None:
-        if max_interior < 1:
-            raise InputError(f"max_interior must be >= 1, got {max_interior}")
-        return max_interior
-    # Square blocks minimize the improper count per interior site in the
-    # plane with r = 1: an LxL same-mark block has 4L improper cubes, so a
-    # contour of size n has interior at most (n/4)^2.  Other geometries need
-    # an explicit cap.
-    if (model.d, model.r) != (2, 1):
-        raise InputError(
-            "no default interior cap for this (d, r); pass max_interior explicitly")
-    return max(1, n_max * n_max // 16)
-
 
 def _iter_marked_interiors(model: ModelSpec, x: Site, exterior: int,
                            max_interior: int, budget: int,
@@ -250,51 +233,62 @@ def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
     boundary spin ``exterior``.  Interiors are enumerated up to
     ``max_interior`` sites; the default cap is n_max^2/16, which covers every
     contour of size <= n_max in the plane with r = 1 (larger interiors force
-    more improper cubes than n_max by the block isoperimetry).
+    more improper cubes than n_max by the block isoperimetry).  The report
+    keeps each counted contour, which ``contour_roundtrip_mismatches`` plants.
     """
-    max_interior = _check_contour_census(model, x, n_max, exterior, max_interior)
+    require_certified(model)
+    if len(x) != model.d:
+        raise InputError(f"site {x} has dimension {len(x)}, need {model.d}")
+    if not 1 <= exterior <= model.s:
+        raise InputError(f"exterior spin {exterior} outside 1..{model.s}")
+    if max_interior is None:
+        # Square blocks minimize the improper count per interior site in the
+        # plane with r = 1: an LxL same-mark block has 4L improper cubes, so a
+        # contour of size n has interior at most (n/4)^2.  Other geometries
+        # need an explicit cap.
+        if (model.d, model.r) != (2, 1):
+            raise InputError(
+                "no default interior cap for this (d, r); pass max_interior explicitly")
+        max_interior = max(1, n_max * n_max // 16)
+    elif max_interior < 1:
+        raise InputError(f"max_interior must be >= 1, got {max_interior}")
     counts = {}
-    for _sites, _marks, improper in _iter_marked_interiors(
+    counted = []
+    for sites, marks, improper in _iter_marked_interiors(
             model, x, exterior, max_interior, budget):
         if improper <= n_max:
             counts[improper] = counts.get(improper, 0) + 1
+            counted.append((tuple(sorted(zip(sites, marks))), improper))
     k = max_degree(model.d, model.r)
     records = tuple(
         CensusRecord(n=n, count=counts.get(n, 0), bound=0.5 * (4 * math.e * k) ** n)
         for n in range(1, n_max + 1))
     report = CensusReport(kind="contours", k=k, records=records,
-                          interior_cap=max_interior)
+                          interior_cap=max_interior, contours=tuple(counted),
+                          exterior=exterior)
     if report.violations():
         raise VerificationError("a rooted contour count exceeds its bound",
                                 details=report)
     return report
 
 
-def contour_roundtrip_mismatches(model: ModelSpec, x: Site, n_max: int,
-                                 exterior: int = 1,
-                                 max_interior: int | None = None,
-                                 budget: int = DEFAULT_SET_BUDGET) -> list:
-    """Embed every enumerated contour in a configuration and re-extract it.
+def contour_roundtrip_mismatches(model: ModelSpec, report: CensusReport) -> list:
+    """Plant every contour a contour census counted and re-extract it.
 
-    Each marked interior, planted on its bounding box with the exterior spin
-    elsewhere, must come back from the contour extractor as exactly one
-    contour with the same marks and the same size.  Returns the list of
-    mismatches (empty when the census and the engine agree).
+    Each marked interior, planted on its bounding box with the report's
+    exterior spin elsewhere, must come back from the contour extractor as
+    exactly one contour with the same marks and the same size.  Returns the
+    list of mismatches (empty when the census and the engine agree).
     """
-    max_interior = _check_contour_census(model, x, n_max, exterior, max_interior)
     mismatches = []
-    for sites, marks, improper in _iter_marked_interiors(
-            model, x, exterior, max_interior, budget):
-        if improper > n_max:
-            continue
+    for serial, size in report.contours:
+        sites = [site for site, _ in serial]
         box = Box(tuple(map(min, zip(*sites))), tuple(map(max, zip(*sites))))
-        config = Configuration.constant(box, exterior).replace(
-            dict(zip(sites, marks)))
+        config = Configuration.constant(box, report.exterior).replace(dict(serial))
         found = extract_contours(config, model)
-        expected = tuple(sorted(zip(sites, marks)))
-        if (len(found) != 1 or found[0].serial() != expected
-                or found[0].size != improper):
-            mismatches.append((expected, improper, found))
+        if (len(found) != 1 or found[0].serial() != serial
+                or found[0].size != size):
+            mismatches.append((serial, size, found))
     return mismatches
 
 

@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .census import (DEFAULT_SET_BUDGET, _check_contour_census, rooted_contour_counts,
-                     subgraph_census)
+from .census import DEFAULT_SET_BUDGET, rooted_contour_counts, subgraph_census
 from .contours import boundary, contours as extract_contours
 from .errors import CapacityError, InputError, VerificationError
 from .exact import (DEFAULT_BUDGET, FiniteVolumeEnsemble, coexistence_gap,
@@ -232,12 +231,12 @@ def _run_census(params: dict, out_dir: Path) -> tuple:
     budget = params.get("budget")
     if budget is None:
         budget = DEFAULT_SET_BUDGET
-    model = params.get("model")
-    if model is not None:  # refuse bad contour input before any census runs
-        model = _resolve_model(model)
-        site, exterior = tuple(params["site"]), params.get("exterior", 1)
-        max_interior = _check_contour_census(model, site, params["n_max"], exterior,
-                                             params.get("max_interior"))
+    creport = None
+    if params.get("model") is not None:  # counted first: a failure writes no CSV
+        creport = rooted_contour_counts(
+            _resolve_model(params["model"]), tuple(params["site"]), params["n_max"],
+            exterior=params.get("exterior", 1), max_interior=params.get("max_interior"),
+            budget=budget)
     report = subgraph_census(params["d"], params["r"], params["n_max"], budget=budget)
     write_csv(out_dir / "census_subgraphs.csv", ["n", "count", "bound", "ratio"],
               [(rec.n, rec.count, rec.bound, rec.ratio) for rec in report.records])
@@ -245,9 +244,7 @@ def _run_census(params: dict, out_dir: Path) -> tuple:
     print(f"cube graph degree k = {report.k}")
     for rec in report.records:
         print(f"  connected sets n={rec.n}: {rec.count} <= {rec.bound:.6g}")
-    if model is not None:
-        creport = rooted_contour_counts(model, site, params["n_max"], exterior=exterior,
-                                        max_interior=max_interior, budget=budget)
+    if creport is not None:
         write_csv(out_dir / "census_contours.csv", ["n", "count", "bound", "ratio"],
                   [(rec.n, rec.count, rec.bound, rec.ratio) for rec in creport.records])
         outputs.append("census_contours.csv")

@@ -280,7 +280,10 @@ def _tables(model: ModelSpec) -> _PatternTables:
             for j, o in enumerate(term.offsets):
                 p = powers[pos[tuple(a + b for a, b in zip(t, o))]]
                 term_codes += codes // p % q * q ** j
-            u += values[term_codes] / weight
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                u += values[term_codes] / weight
+    if not np.isfinite(u).all():
+        raise InputError("a cube energy is not finite (nan, inf or an overflow)")
 
     constant_codes = tuple(
         (v - 1) * (count - 1) // (q - 1) if q > 1 else 0 for v in range(1, q + 1)

@@ -230,7 +230,7 @@ def test_criterion_09_counting_bounds(ising):
     report = rooted_contour_counts(ising, (0, 0), 8)
     for rec in report.records:
         ok = ok and rec.count <= 0.5 * (4 * math.e * k) ** rec.n
-    mismatches = contour_roundtrip_mismatches(ising, (0, 0), 8)
+    mismatches = contour_roundtrip_mismatches(ising, report)
     ok = ok and mismatches == []
     elapsed = time.time() - t0
     _report(9, ok, f"k=8, set counts {counts[1:]} within (8e)^n, contour "

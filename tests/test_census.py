@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -123,6 +124,18 @@ def test_explorer_budget_counts_the_root_as_the_first_set():
     assert rooted_subgraph_counts(2, 1, 1, budget=1) == [0, 1]
 
 
+def test_explorer_refuses_sets_above_the_size_limit_before_any_visit():
+    # the enumerator recurses once per set size; in 1D the sets are intervals
+    counts = rooted_subgraph_counts(1, 1, census.MAX_SET_SIZE)
+    assert counts == list(range(census.MAX_SET_SIZE + 1))
+    visits = []
+    with pytest.raises(InputError):
+        census._explore_rooted(0, census.CubeGraph(1, 1).neighbors,
+                               census.MAX_SET_SIZE + 1, 10 ** 7,
+                               lambda size, members: visits.append(size))
+    assert visits == []
+
+
 def test_explorer_budget_zero_refuses_before_any_visit():
     visits = []
     with pytest.raises(CapacityError) as caught:
@@ -211,6 +224,11 @@ def test_contour_counts_match_window_sweep_oracle(ising, potts3):
         assert got == oracle
 
 
+def roundtrip_of_a_fresh_census(model, x, n_max, **kwargs):
+    return contour_roundtrip_mismatches(
+        model, rooted_contour_counts(model, x, n_max, **kwargs))
+
+
 @pytest.mark.parametrize("exterior", [0, 3])
 def test_contour_enumerations_refuse_an_exterior_outside_the_sector(
         ising, monkeypatch, exterior):
@@ -219,7 +237,7 @@ def test_contour_enumerations_refuse_an_exterior_outside_the_sector(
 
     monkeypatch.setattr(census, "_explore_rooted", no_explore)
     messages = []
-    for enumerate_contours in (rooted_contour_counts, contour_roundtrip_mismatches):
+    for enumerate_contours in (rooted_contour_counts, roundtrip_of_a_fresh_census):
         with pytest.raises(InputError) as caught:
             enumerate_contours(ising, (0, 0), 4, exterior=exterior)
         messages.append(str(caught.value))
@@ -227,8 +245,22 @@ def test_contour_enumerations_refuse_an_exterior_outside_the_sector(
 
 
 def test_contour_roundtrip(ising, potts3):
-    assert contour_roundtrip_mismatches(ising, (0, 0), 8) == []
-    assert contour_roundtrip_mismatches(potts3, (0, 0), 6) == []
+    assert contour_roundtrip_mismatches(
+        ising, rooted_contour_counts(ising, (0, 0), 8)) == []
+    assert contour_roundtrip_mismatches(
+        potts3, rooted_contour_counts(potts3, (0, 0), 6)) == []
+
+
+def test_contour_report_keeps_the_contours_it_counted(potts3):
+    # the census-8 command's contour stage: 186 contours of sizes 4..8
+    report = rooted_contour_counts(potts3, (0, 0), 8, max_interior=5)
+    assert len(report.contours) == 186 and report.exterior == 1
+    assert [sum(size == rec.n for _, size in report.contours)
+            for rec in report.records] == [rec.count for rec in report.records]
+    for serial, _size in report.contours:
+        assert list(serial) == sorted(serial)
+        assert (0, 0) in dict(serial) and set(dict(serial).values()) <= {2, 3}
+    assert len(set(report.contours)) == 186
 
 
 @pytest.mark.parametrize("max_interior", [0, -3])
@@ -236,7 +268,7 @@ def test_contour_enumerations_refuse_an_interior_cap_below_one(ising, max_interi
     with pytest.raises(InputError):
         rooted_contour_counts(ising, (0, 0), 4, max_interior=max_interior)
     with pytest.raises(InputError):
-        contour_roundtrip_mismatches(ising, (0, 0), 4, max_interior=max_interior)
+        roundtrip_of_a_fresh_census(ising, (0, 0), 4, max_interior=max_interior)
 
 
 def test_contour_counts_need_interior_cap_for_unusual_geometry():
@@ -394,6 +426,25 @@ def test_contour_census_fails_below_the_counts(ising, monkeypatch):
     assert isinstance(report, census.CensusReport) and report.kind == "contours"
     assert [(rec.n, rec.count) for rec in report.violations()] == [
         (4, 1), (6, 4), (7, 4), (8, 22)]
+
+
+def test_contour_roundtrip_fails_on_a_lossy_extractor(ising, monkeypatch):
+    # an extractor that drops one improper cube of every contour it returns
+    extract = census.extract_contours
+
+    def lossy(config, model):
+        out = []
+        for g in extract(config, model):
+            kept = sorted(g.improper_cubes, key=lambda c: c.anchor)[1:]
+            out.append(dataclasses.replace(g, improper_cubes=frozenset(kept),
+                                           size=len(kept)))
+        return out
+
+    monkeypatch.setattr(census, "extract_contours", lossy)
+    report = rooted_contour_counts(ising, (0, 0), 8)
+    mismatches = contour_roundtrip_mismatches(ising, report)
+    assert len(mismatches) == len(report.contours) == 31
+    assert [(serial, size) for serial, size, _ in mismatches] == list(report.contours)
 
 
 def _spread_contour(anchors):

@@ -71,6 +71,7 @@ def test_budget_exceeded_exits_three(tmp_path, capsys):
 def test_census_budget_bounds_every_stage(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     assert "capacity error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "census_subgraphs.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,6 +261,15 @@ def test_unwritable_out_directory_exits_two(tmp_path, capsys):
      "--workers", "0"],
     ["rerun", str(Path(__file__).parent / "manifests" / "verify.json"),
      "--workers", "0"],
+    # set sizes above census.MAX_SET_SIZE, in either stage
+    ["census", "--n-max", "1200"],
+    ["census", "--n-max", "1200", "--d", "1"],
+    ["census", "--n-max", "2", "--builtin", "ising", "--max-interior", "1000000"],
+    # cube energies that are not finite
+    ["model-check", "--builtin", "potts:J=nan"],
+    ["model-check", "--builtin", "ising:J=inf"],
+    ["model-check", "--builtin", "potts:J=1e308"],
+    ["model-check", "--model", str(Path(__file__).parent / "models" / "nan_entry.txt")],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
