@@ -250,6 +250,10 @@ def rooted_contour_counts(model: ModelSpec, x: Site, n_max: int,
             raise InputError(
                 "no default interior cap for this (d, r); pass max_interior explicitly")
         max_interior = max(1, n_max * n_max // 16)
+        if max_interior > MAX_SET_SIZE:
+            raise InputError(f"max_interior defaults to n_max^2/16 = {max_interior}, the largest "
+                             f"interior of a square-block contour of size {n_max}, above the set "
+                             f"size limit {MAX_SET_SIZE}; pass a smaller max_interior")
     elif max_interior < 1:
         raise InputError(f"max_interior must be >= 1, got {max_interior}")
     counts = {}

@@ -15,7 +15,9 @@ is exactly the max-shifted log-domain form).
 
 Chunks are processed independently, optionally across worker processes, and
 merged in fixed chunk order, so results are bit-identical for any worker
-count.
+count.  On a level grid 1/D the marginal sweep is beta-free: chunks count
+configurations per group code and level in int64, and a probability is an
+fsum of N(E) exp(-beta E / D) over the levels, the same for any chunk size.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import numpy as np
 from .contours import Configuration, Contour, _grid, _light_contours, _serial
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site
-from .model import ModelSpec, digits_of, require_certified
+from .model import ModelSpec, _tables, digits_of, require_certified
 
 DEFAULT_BUDGET = 1 << 26
 MAX_BUDGET = 1 << 62  # sweep indices and their digits are int64
 CHUNK = 1 << 14
 BOUND_TOL = 1e-12
+MAX_DENOMINATOR = 1 << 10  # the finest level grid searched
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,27 @@ def _low_table(model: ModelSpec, box: Box) -> _LowTable:
                      codes[:, straddle].T.copy(), low_energy)
 
 
+@functools.lru_cache(maxsize=8)
+def _level_denominator(model: ModelSpec) -> int | None:
+    """Least D <= MAX_DENOMINATOR with every relative cube energy within 1e-9 of k/D, or None."""
+    tables = _tables(model)
+    candidates = np.arange(1, MAX_DENOMINATOR + 1)
+    for value in np.unique(tables.u - tables.u_min):
+        scaled = value * candidates
+        candidates = candidates[np.abs(scaled - np.rint(scaled)) <= 1e-9]
+        if not len(candidates):
+            return None
+    return int(candidates[0])
+
+
+def _level_grid(model: ModelSpec, box: Box, groups: Sequence[tuple]):
+    """(D, level count) of the beta-free sweep, or None: no grid, or tables larger than a chunk."""
+    den, grid, q = _level_denominator(model), _grid(model, box), model.q
+    levels = den and 1 + len(grid.bx.cubes) * round(np.ptp(grid.tables.u) * den)
+    fits = den and sum(q ** len(g) for g in groups) * levels <= q ** _low_digit_count(q, box.size)
+    return (den, levels) if fits else None
+
+
 def _chunk_energies(model: ModelSpec, box: Box, exterior: int, start: int):
     """Return (relative energies, high digits, high codes) of the chunk of
     ``_chunk_ranges`` that starts at ``start``: the low-only sum, plus the
@@ -253,21 +277,33 @@ def index_of_config(config: Configuration, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _dist_task(args):
-    """Over one chunk, at each beta: the weight sum and, for each group of
-    flat site indices, the weights binned by the group's base-q code."""
-    model, box, exterior, betas, groups, start, _ = args
+    """Over one chunk, a table per group of flat site indices with a row per base-q code:
+    on a level grid (D, levels) the count at each level, else the weight sum at each beta."""
+    model, box, exterior, betas, groups, levels, start, _ = args
     energies, high, _ = _chunk_energies(model, box, exterior, start)
     low_digits = _low_table(model, box).digits
-    q = model.q
-    powers = [q ** np.arange(len(group)) for group in groups]
-    codes = [low_digits[:, list(g)] @ p + high[list(g)] @ p for g, p in zip(groups, powers)]
-    out = []
-    for beta in betas:
+    q, (den, count) = model.q, levels or (0, 1)
+    scaled = energies if den == 1 else energies * den  # off the grid, den 0: all at level 0
+    level = np.rint(scaled)
+    if not np.array_equal(scaled, level):  # never round silently
+        off = float(np.abs(scaled - level, out=scaled).max())
+        if off > 1e-6:
+            raise ArithmeticError(f"an energy lies {off:.3g} units off the grid 1/{den}")
+    level = level.astype(np.int64)
+    # index in a group's table: code * level count + level, from the low digits
+    # (uint8; site k is low when q^k < the chunk length) or the chunk's high digits
+    indices = [sum((np.multiply(low_digits[:, k], q ** j * count, dtype=np.int64)
+                    if q ** k < len(low_digits) else int(high[k]) * q ** j * count
+                    for j, k in enumerate(g)), level) for g in groups]
+    if levels is not None:
+        return [np.bincount(index, minlength=q ** len(g) * count).reshape(-1, count)
+                for index, g in zip(indices, groups)]
+    tables = [np.zeros((q ** len(g), len(betas))) for g in groups]
+    for bi, beta in enumerate(betas):
         w = np.exp(-beta * energies)
-        out.append((float(w.sum()), [
-            np.bincount(code, weights=w, minlength=q ** len(group))
-            for code, group in zip(codes, groups)]))
-    return out
+        for table, index in zip(tables, indices):
+            table[:, bi] = np.bincount(index, weights=w, minlength=len(table))
+    return tables
 
 
 # perfbench/spans.py still probes this name, and its tests require every
@@ -278,18 +314,26 @@ _trend_task = _dist_task
 def _marginals(model: ModelSpec, box: Box, exterior: int, betas: Sequence[float],
                groups: Sequence[tuple], workers: int) -> list:
     """(Z, [distribution of each group's base-q code]) at each beta, from one
-    sweep: Z is the fsum of the chunk sums, histograms add in chunk order."""
-    z_parts = [[] for _ in betas]
-    hists = [[0.0] * len(groups) for _ in betas]
-    for part in _run_chunks(_dist_task, (model, box, exterior, tuple(betas),
-                                         tuple(groups)), workers):
-        for bi, (z, chunk_hists) in enumerate(part):
-            z_parts[bi].append(z)
-            hists[bi] = [acc + h for acc, h in zip(hists[bi], chunk_hists)]
+    sweep; the chunks' tables add in chunk order.  On a level grid they are
+    exact counts, and a code's weight is the fsum of N(E) exp(-beta E / D)
+    over the levels.  Z is the weight of the empty group's one code: off the
+    grid a table of its own, on it the first group's summed codes."""
+    levels = _level_grid(model, box, groups)
+    tables = functools.reduce(
+        lambda acc, part: [a + t for a, t in zip(acc, part)],
+        _run_chunks(_dist_task, (model, box, exterior, tuple(betas),
+                                 tuple(groups) if levels else ((),) + tuple(groups),
+                                 levels), workers))
     out = []
-    for parts, sums in zip(z_parts, hists):
-        z = math.fsum(parts)
-        out.append((z, [h / z for h in sums]))
+    for bi, beta in enumerate(betas):
+        if levels is None:
+            z, *sums = [table[:, bi] for table in tables]
+        else:
+            weight = np.exp(-beta * (np.arange(levels[1]) / levels[0]))
+            z, *sums = [[math.fsum(row) for row in (table * weight).tolist()]
+                        for table in [tables[0].sum(axis=0, keepdims=True)] + tables]
+        z = math.fsum(z)
+        out.append((z, [np.asarray(s) / z for s in sums]))
     return out
 
 
@@ -351,15 +395,10 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
     group = (box.index_of(x),)
     under1, under2 = (_marginals(model, box, exterior, betas, [group], workers)
                       for exterior in (1, 2))
-    out = []
-    for beta, (_, (d1,)), (_, (d2,)) in zip(betas, under1, under2):
-        out.append(GapRecord(
-            beta=beta,
-            gap=float(d1[0] - d2[0]),
-            permutation_residual=abs(float(d2[0]) - float(d1[1])),
-            first_marginals=tuple(float(v) for v in d1),
-            second_marginals=tuple(float(v) for v in d2)))
-    return out
+    return [GapRecord(beta=beta, gap=float(d1[0] - d2[0]),
+                      permutation_residual=abs(float(d2[0]) - float(d1[1])),
+                      first_marginals=tuple(d1.tolist()), second_marginals=tuple(d2.tolist()))
+            for beta, (_, (d1,)), (_, (d2,)) in zip(betas, under1, under2)]
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,29 @@ def test_contour_counts_need_interior_cap_for_unusual_geometry():
     assert {rec.n: rec.count for rec in report.records}[8] == 1
 
 
+def test_a_default_interior_cap_above_the_set_limit_is_refused(tmp_path, capsys,
+                                                               monkeypatch):
+    # n_max = 65: the default cap n_max^2/16 = 264 passes MAX_SET_SIZE = 256;
+    # the refusal names the cap and its rule, and comes before any interior
+    # is enumerated
+    def enumerate_nothing(*args, **kwargs):
+        return iter(())
+
+    monkeypatch.setattr(census, "_iter_marked_interiors", enumerate_nothing)
+    ising = builtin_model("ising")
+    assert rooted_contour_counts(ising, (0, 0), 64).interior_cap == census.MAX_SET_SIZE
+    want = ("max_interior defaults to n_max^2/16 = 264, the largest interior of a "
+            "square-block contour of size 65, above the set size limit 256")
+    with pytest.raises(InputError, match=want.replace("^", r"\^")):
+        rooted_contour_counts(ising, (0, 0), 65)
+
+    from peierls.cli import main
+    out = tmp_path / "out"
+    assert main(["census", "--n-max", "65", "--builtin", "ising", "--out", str(out)]) == 2
+    assert want in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # Connectors
 # ---------------------------------------------------------------------------

@@ -407,3 +407,24 @@ def test_csv_bytes_are_pinned(tmp_path, case):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.glob("*.csv"))}
     assert got == pinned["sha256"]
+
+
+@pytest.mark.parametrize("builtin, boxes", [("ising", "3x3;4x4"), ("potts:q=3", "3x3")])
+def test_coexist_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch,
+                                                          builtin, boxes):
+    # CHUNK = 2^10 cuts ising 4x4 into 64 chunks and potts:q=3 3x3 into 27;
+    # 2^14 into 4 and 3.  The low table's rows follow CHUNK, so its cache is
+    # cleared around each setting.
+    argv = ["coexist", "--builtin", builtin, "--boxes", boxes, "--betas", "0.5,1,2"]
+    outputs = set()
+    try:
+        for chunk, workers in ((1 << 14, 1), (1 << 10, 1), (1 << 14, 2), (1 << 10, 2)):
+            monkeypatch.setattr(exact, "CHUNK", chunk)
+            exact._low_table.cache_clear()
+            out = tmp_path / f"{chunk}-{workers}"
+            assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("coexistence.csv", "marginals.csv")))
+    finally:
+        exact._low_table.cache_clear()
+    assert len(outputs) == 1

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from peierls import (Box, CapacityError, CertificationError, Configuration,
-                     FiniteVolumeEnsemble, InputError, VerificationError, coexistence_gap,
+                     FiniteVolumeEnsemble, InputError, InteractionTerm, ModelSpec,
+                     VerificationError, coexistence_gap,
                      conditional_hamiltonian, config_from_index,
                      contour_probability, contours, dlr_consistency,
                      enumerate_distribution, index_of_config, marginal_trend,
@@ -18,7 +19,8 @@ from peierls.contours import _box_index, _grid, _light_contours, _serial
 from peierls.exact import (BOUND_TOL, CHUNK, _chunk_ranges, _contour_task, _low_table,
                            _pool_size, contour_statistics, full_sweep)
 from peierls.lattice import _box_sites
-from peierls.model import _tables, builtin_model, check_symmetry, verify_ground_states
+from peierls.model import (_tables, builtin_model, check_symmetry, digits_of,
+                           verify_ground_states)
 
 from conftest import random_configs, single_flip
 
@@ -123,6 +125,7 @@ def test_chunk_ranges_are_lazy():
     (_box_index, lambda i: (Box.from_shape((1, i + 1)), 1)),
     (_box_sites, lambda i: (Box.from_shape((1, i + 1)),)),
     (_low_table, lambda i: (potts_model(), Box.from_shape((1, i + 1)))),
+    (exact._level_denominator, lambda i: (potts_model(J=1.0 + i),)),
 ])
 def test_caches_are_bounded(cached, key):
     cap = cached.cache_parameters()["maxsize"]
@@ -264,6 +267,73 @@ def test_coexistence_gap(ising):
     assert recs[1].gap > 0.5
     assert recs[0].permutation_residual < 1e-12
     assert recs[1].permutation_residual < 1e-12
+
+
+@pytest.mark.parametrize("spec, shape", [("ising", (4, 4)), ("potts:q=3", (3, 3))])
+def test_marginals_match_an_fsum_oracle(spec, shape):
+    # oracle: math.fsum of full_sweep's per-configuration weights; P_2(x = 1)
+    # is P_1(x = 2) by the swap of spins 1 and 2
+    model, box = builtin_model(spec), Box.from_shape(shape)
+    sweep = full_sweep(model, box, 1)
+    digits = digits_of(np.arange(len(sweep.energies)), model.q, box.size)
+    x = box.index_of(box.center)
+    betas = [0.5, 1.0, 2.0]
+    gaps = coexistence_gap(model, box, box.center, betas)
+    for beta, rec in zip(betas, gaps):
+        w = np.exp(-beta * sweep.energies)
+        z = math.fsum(w)
+        p = [[math.fsum(w[digits[:, k] == v]) / z for v in range(model.q)]
+             for k in range(box.size)]
+        assert abs(rec.gap - (p[x][0] - p[x][1])) <= 1e-15
+        assert rec.permutation_residual == 0.0
+        dist = enumerate_distribution(
+            FiniteVolumeEnsemble(box=box, exterior=1, beta=beta, model=model))
+        assert abs(dist.log_partition - math.log(z)) <= 1e-15 * abs(math.log(z))
+        for k, site in enumerate(box.sites()):
+            for v in range(model.q):
+                assert abs(dist.marginals[(site, v + 1)] - p[k][v]) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, den", [
+    ("ising", 1), ("potts:q=3", 2), ("potts-excited:q=3,s=2", 4), ("potts:d=3", 4),
+    ("potts:q=3,r=2", 12), ("potts:q=2,r=3", 36), ("potts:J=0.1", 10)])
+def test_the_built_ins_lie_on_level_grids(spec, den):
+    assert exact._level_denominator(builtin_model(spec)) == den
+
+
+def test_a_box_at_the_level_bound_keeps_its_top_level():
+    # a cube costs 1 with exactly one odd spin, 1/2 with two of each: with
+    # spin 2 on the corners of a 3x3 box every cube meeting it costs 1, so
+    # that configuration sits on the sweep's bound, cubes x top cube level
+    table = {p: {1: 1.0, 2: 0.5}.get(min(p.count(1), p.count(2)), 0.0)
+             for p in itertools.product((1, 2), repeat=4)}
+    model = ModelSpec(d=2, r=1, q=2, s=2, terms=(
+        InteractionTerm.from_table([(0, 0), (1, 0), (0, 1), (1, 1)], table),))
+    box = Box.from_shape((3, 3))
+    den, levels = exact._level_grid(model, box, [(0,)])
+    sweep = full_sweep(model, box, 1)
+    assert sweep.energies.max() * den == levels - 1
+    digits = digits_of(np.arange(len(sweep.energies)), 2, box.size)
+    w = np.exp(-0.7 * sweep.energies)
+    for k in (0, 4):  # a corner, spin 2 at the top, and the centre, spin 1
+        want = math.fsum(w[digits[:, k] == 1]) / math.fsum(w)
+        (got,) = marginal_trend(model, box, box.sites()[k], 1, 2, [0.7])
+        assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("wrong", [1, 2])
+def test_a_wrong_level_unit_is_refused_not_rounded(wrong, tmp_path, capsys, monkeypatch):
+    # negative control: potts:J=0.1 energies on a 3x3 box are multiples of
+    # 0.2 (grid 1/10 by its cube energies); on a coarser grid the sweep raises
+    # an internal error (exit 4) instead of rounding to a level.  Most other
+    # built-ins would not do: their box energies are whole numbers.
+    monkeypatch.setattr(exact, "_level_denominator", lambda model: wrong)
+    model, box = builtin_model("potts:J=0.1"), Box.from_shape((3, 3))
+    with pytest.raises(ArithmeticError, match=f"units off the grid 1/{wrong}"):
+        coexistence_gap(model, box, box.center, [1.0])
+    argv = ["coexist", "--builtin", "potts:J=0.1", "--boxes", "3x3", "--betas", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 4
+    assert f"units off the grid 1/{wrong}" in capsys.readouterr().err
 
 
 def test_empty_betas_give_empty_lists(ising, monkeypatch):

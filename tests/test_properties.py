@@ -7,7 +7,9 @@ Exact sweeps also need certified ground states, so the marginal sweep test
 adds a tenth of such a model to the Potts or excited Potts terms, and so
 do the test of the contour statistics against the public contour extractor
 and the test of the Monte Carlo heat-bath keys; the keys are also tested
-on the d = 3 Potts model.
+on the d = 3 Potts model.  The marginal sweep test also draws such models
+with the random terms rounded to quarters, whose energies lie on a level
+grid, so that it runs the sweep's level path as well as its float path.
 The last three tests bound the memory that building the pattern tables takes
 and that a box grid keeps, on one large built-in model, and the memory one
 warm chunk of the marginal sweep takes.
@@ -19,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
                      ModelSpec, check_symmetry, coexistence_gap, containing_cube_count,
@@ -28,12 +30,13 @@ from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
                      require_certified)
 from peierls import exact
 from peierls.contours import _grid
-from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _low_digit_count,
-                           _low_table, config_from_index, contour_statistics,
-                           full_sweep)
+from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _level_grid,
+                           _low_digit_count, _low_table, config_from_index,
+                           contour_statistics, full_sweep)
 from peierls.lattice import ball_offsets, cubes_meeting_box
 from peierls.mcmc import _ChainState
-from peierls.model import _tables, cube_sites, digits_of, permute_spins
+from peierls.model import (_tables, cube_sites, digits_of, permute_spins,
+                           verify_ground_states)
 
 
 def symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
@@ -197,13 +200,18 @@ def test_pattern_tables_match_a_placement_oracle(case):
         assert not check_symmetry(perturb_constant_pattern(model, 1e-6))
 
 
-def certified_symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
+def certified_symmetric_model(q: int, r: int, s: int, seed: int,
+                              quarter: bool = False) -> ModelSpec:
     """Potts terms (s = q) or excited Potts terms (s < q) plus a tenth of
     the terms of ``symmetric_model``: symmetric, and small enough a
-    perturbation that the s constants stay the certified ground states."""
+    perturbation that the s constants stay the certified ground states.
+    With ``quarter`` the random terms are rounded to -1/4, 0 or 1/4 instead,
+    so that relative energies lie on a level grid; about 1 in 200 such draws
+    ties a ground state and is not certified."""
     base = potts_model(r=r, q=q) if s == q else excited_potts_model(q=q, s=s, r=r)
     extra = tuple(InteractionTerm.from_table(
-        term.offsets, {pattern: 0.1 * value for pattern, value in term.entries})
+        term.offsets, {pattern: round(value) / 4 if quarter else 0.1 * value
+                       for pattern, value in term.entries})
         for term in symmetric_model(q, r, s, seed).terms)
     return ModelSpec(d=2, r=r, q=q, s=s, terms=base.terms + extra)
 
@@ -221,13 +229,17 @@ def sweep_cases(draw):
 
 
 @settings(max_examples=12, deadline=None, database=None)
-@given(case=sweep_cases(), beta=st.floats(0.0, 2.0))
-@example(case=(2, 1, 2, (4, 4), 6), beta=0.8)
-@example(case=(3, 1, 3, (3, 3), 7), beta=1.3)
-@example(case=(3, 2, 2, (3, 3), 9), beta=0.6)
-def test_marginal_sweep_matches_the_full_sweep(case, beta):
+@given(case=sweep_cases(), beta=st.floats(0.0, 2.0), quarter=st.booleans())
+@example(case=(2, 1, 2, (4, 4), 6), beta=0.8, quarter=False)
+@example(case=(3, 1, 3, (3, 3), 7), beta=1.3, quarter=False)
+@example(case=(3, 2, 2, (3, 3), 9), beta=0.6, quarter=False)
+@example(case=(3, 1, 3, (3, 3), 2793701318), beta=0.9, quarter=True)  # levels for all
+@example(case=(3, 2, 2, (3, 3), 3), beta=1.7, quarter=True)  # levels for one site only
+def test_marginal_sweep_matches_the_full_sweep(case, beta, quarter):
     q, r, s, shape, seed = case
-    model = certified_symmetric_model(q, r, s, seed)
+    model = certified_symmetric_model(q, r, s, seed, quarter)
+    if quarter:
+        assume(verify_ground_states(model).certified)
     require_certified(model)
     assert check_symmetry(model)
     box = Box.from_shape(shape)
@@ -248,8 +260,12 @@ def test_marginal_sweep_matches_the_full_sweep(case, beta):
 
     x = box.sites()[seed % box.size]
     j = exterior % q + 1
-    assert marginal_trend(model, box, x, exterior, j, [beta]) == [
-        dist.marginals[(x, j)]]
+    (trend,) = marginal_trend(model, box, x, exterior, j, [beta])
+    # the one-site and the all-site sweeps agree to the bit on the same path,
+    # level grid or floats; only the all-site tables can outgrow a chunk
+    paths = {_level_grid(model, box, groups) is None
+             for groups in ([(box.index_of(x),)], [(k,) for k in range(box.size)])}
+    assert abs(trend - dist.marginals[(x, j)]) <= (0.0 if len(paths) == 1 else 1e-12)
     if s >= 2:
         (gap,) = coexistence_gap(model, box, x, [beta])
         assert gap.permutation_residual <= 1e-12
@@ -419,10 +435,12 @@ def test_a_grid_keeps_no_copy_of_the_tables():
 
 
 def test_a_warm_marginal_chunk_builds_no_whole_digit_rows():
-    # ising 4x5, the chunk of indices 3 * 2^14 .. 4 * 2^14: int64 digit and
-    # code rows for its 2^14 configurations would take 6.6 MB
-    args = (ising_model(), Box.from_shape((4, 5)), 1, (0.5, 1.0, 2.0), ((7,),),
-            3 << 14, 4 << 14)
-    _dist_task(args)
-    peak, _ = traced_peak_and_kept(lambda: _dist_task(args))
-    assert peak < 3e6
+    # ising 4x5, the chunk of indices 3 * 2^14 .. 4 * 2^14, on its level grid
+    # and off it: int64 digit and code rows for its 2^14 configurations would
+    # take 6.6 MB
+    model, box, groups = ising_model(), Box.from_shape((4, 5)), ((), (7,))
+    for levels in (_level_grid(model, box, groups), None):
+        args = (model, box, 1, (0.5, 1.0, 2.0), groups, levels, 3 << 14, 4 << 14)
+        _dist_task(args)
+        peak, _ = traced_peak_and_kept(lambda: _dist_task(args))
+        assert peak < 3e6
