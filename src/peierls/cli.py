@@ -286,7 +286,8 @@ def _run_coexist(params: dict, out_dir: Path) -> tuple:
     if not check_symmetry(model):
         raise InputError("coexistence check refused: the model is not symmetric "
                          "under the sector permutations")
-    rows, marginal_rows = [], []
+    rows = []
+    marginal_rows = []
     for spec_text in params["boxes"]:
         box = parse_box(spec_text)
         site = tuple(params["site"]) if params.get("site") else box.center
@@ -295,9 +296,11 @@ def _run_coexist(params: dict, out_dir: Path) -> tuple:
                                   workers=params.get("workers", 1))
         for rec in records:
             rows.append((spec_text, rec.beta, rec.gap, rec.permutation_residual))
-            for exterior, dist in ((1, rec.first_marginals), (2, rec.second_marginals)):
-                marginal_rows.extend((spec_text, exterior, rec.beta, site, spin, value)
-                                     for spin, value in enumerate(dist, start=1))
+            for exterior, dist in ((1, rec.first_marginals),
+                                   (2, rec.second_marginals)):
+                for spin, value in enumerate(dist, start=1):
+                    marginal_rows.append(
+                        (spec_text, exterior, rec.beta, site, spin, value))
             print(f"box {spec_text} beta {rec.beta:g}: gap {rec.gap:.6g}, "
                   f"permutation residual {rec.permutation_residual:.3g}")
     write_csv(out_dir / "coexistence.csv",

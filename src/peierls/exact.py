@@ -42,6 +42,7 @@ MAX_BUDGET = 1 << 62  # sweep indices and their digits are int64
 CHUNK = 1 << 14
 BOUND_TOL = 1e-12
 MAX_DENOMINATOR = 1 << 10  # the finest level grid searched
+LEVEL_TABLE = 1 << 14  # the most entries of a group's level counts, whatever the chunk
 
 
 @dataclass(frozen=True)
@@ -195,24 +196,37 @@ def _low_table(model: ModelSpec, box: Box) -> _LowTable:
 
 
 @functools.lru_cache(maxsize=8)
-def _level_denominator(model: ModelSpec) -> int | None:
-    """Least D <= MAX_DENOMINATOR with every relative cube energy within 1e-9 of k/D, or None."""
+def _level_denominator(model: ModelSpec):
+    """(D, slack): the least D <= MAX_DENOMINATOR that puts every relative cube
+    energy within float rounding of a multiple of 1/D, or None.  A cube energy
+    sums one float per term placement, so slack, in energy units, is twice the
+    placements times eps times the largest |u|; a model a little off a grid is
+    off it."""
     tables = _tables(model)
+    placements = sum(math.prod(model.r - e + 1 for e in term.extents) for term in model.terms)
+    slack = 2 * placements * np.finfo(float).eps * float(np.abs(tables.u).max())
     candidates = np.arange(1, MAX_DENOMINATOR + 1)
     for value in np.unique(tables.u - tables.u_min):
         scaled = value * candidates
-        candidates = candidates[np.abs(scaled - np.rint(scaled)) <= 1e-9]
+        candidates = candidates[np.abs(scaled - np.rint(scaled)) <= slack * candidates]
         if not len(candidates):
             return None
-    return int(candidates[0])
+    return int(candidates[0]), slack
 
 
 def _level_grid(model: ModelSpec, box: Box, groups: Sequence[tuple]):
-    """(D, level count) of the beta-free sweep, or None: no grid, or tables larger than a chunk."""
-    den, grid, q = _level_denominator(model), _grid(model, box), model.q
-    levels = den and 1 + len(grid.bx.cubes) * round(np.ptp(grid.tables.u) * den)
-    fits = den and sum(q ** len(g) for g in groups) * levels <= q ** _low_digit_count(q, box.size)
-    return (den, levels) if fits else None
+    """(D, level count, limit) of the beta-free sweep, or None: no grid, or a
+    group's counts would pass LEVEL_TABLE entries.  Scaled by D, a box energy
+    may miss its level by each cube's slack plus the sum's rounding: ``limit``."""
+    found, grid = _level_denominator(model), _grid(model, box)
+    if found is None:
+        return None
+    den, slack = found
+    cubes = len(grid.bx.cubes)
+    top = cubes * round(float(np.ptp(grid.tables.u)) * den)
+    if max(model.q ** len(g) for g in groups) * (top + 1) > LEVEL_TABLE:
+        return None
+    return den, top + 1, cubes * (den * slack + np.finfo(float).eps * top)
 
 
 def _chunk_energies(model: ModelSpec, box: Box, exterior: int, start: int):
@@ -276,34 +290,46 @@ def index_of_config(config: Configuration, q: int) -> int:
 # Distribution and marginals
 # ---------------------------------------------------------------------------
 
+def _group_index(low_digits, high, q: int, group: tuple, scale: int, start):
+    """start + scale * the group's base-q code, at each row of a chunk; site k
+    is a low digit (uint8) when q^k < the chunk length, else a high digit."""
+    for j, k in enumerate(group):
+        step = q ** j * scale
+        start = start + (np.multiply(low_digits[:, k], step, dtype=np.int64)
+                         if q ** k < len(low_digits) else int(high[k]) * step)
+    return np.broadcast_to(start, low_digits.shape[:1])
+
+
 def _dist_task(args):
-    """Over one chunk, a table per group of flat site indices with a row per base-q code:
-    on a level grid (D, levels) the count at each level, else the weight sum at each beta."""
+    """Over one chunk, a table per group of flat site indices with a row per
+    base-q code: on a level grid (``_level_grid``) the count at each level;
+    else the weight sum at each beta, beside the chunk's weight sum at each."""
     model, box, exterior, betas, groups, levels, start, _ = args
     energies, high, _ = _chunk_energies(model, box, exterior, start)
     low_digits = _low_table(model, box).digits
-    q, (den, count) = model.q, levels or (0, 1)
-    scaled = energies if den == 1 else energies * den  # off the grid, den 0: all at level 0
-    level = np.rint(scaled)
-    if not np.array_equal(scaled, level):  # never round silently
-        off = float(np.abs(scaled - level, out=scaled).max())
-        if off > 1e-6:
-            raise ArithmeticError(f"an energy lies {off:.3g} units off the grid 1/{den}")
-    level = level.astype(np.int64)
-    # index in a group's table: code * level count + level, from the low digits
-    # (uint8; site k is low when q^k < the chunk length) or the chunk's high digits
-    indices = [sum((np.multiply(low_digits[:, k], q ** j * count, dtype=np.int64)
-                    if q ** k < len(low_digits) else int(high[k]) * q ** j * count
-                    for j, k in enumerate(g)), level) for g in groups]
+    q, count, level = model.q, 1, 0
     if levels is not None:
-        return [np.bincount(index, minlength=q ** len(g) * count).reshape(-1, count)
-                for index, g in zip(indices, groups)]
+        den, count, limit = levels
+        scaled = energies if den == 1 else energies * den
+        level = np.rint(scaled)
+        if not np.array_equal(scaled, level):  # never round silently
+            off = float(np.abs(scaled - level, out=scaled).max())
+            if off > limit:
+                raise ArithmeticError(f"an energy lies {off:.3g} units off the grid 1/{den}")
+        level = level.astype(np.int64)
+    # index in a group's table: code * level count + level; off the grid, the code
+    indices = [_group_index(low_digits, high, q, g, count, level) for g in groups]
+    if levels is not None:
+        return None, [np.bincount(index, minlength=q ** len(g) * count).reshape(-1, count)
+                      for index, g in zip(indices, groups)]
     tables = [np.zeros((q ** len(g), len(betas))) for g in groups]
+    z = []
     for bi, beta in enumerate(betas):
         w = np.exp(-beta * energies)
+        z.append(float(w.sum()))
         for table, index in zip(tables, indices):
             table[:, bi] = np.bincount(index, weights=w, minlength=len(table))
-    return tables
+    return z, tables
 
 
 # perfbench/spans.py still probes this name, and its tests require every
@@ -315,24 +341,25 @@ def _marginals(model: ModelSpec, box: Box, exterior: int, betas: Sequence[float]
                groups: Sequence[tuple], workers: int) -> list:
     """(Z, [distribution of each group's base-q code]) at each beta, from one
     sweep; the chunks' tables add in chunk order.  On a level grid they are
-    exact counts, and a code's weight is the fsum of N(E) exp(-beta E / D)
-    over the levels.  Z is the weight of the empty group's one code: off the
-    grid a table of its own, on it the first group's summed codes."""
+    exact counts: a code's weight is the fsum of N(E) exp(-beta E / D) over
+    the levels, and Z sums the first group's codes.  Off it Z is the fsum of
+    the chunks' weight sums.  The path depends on the largest group alone, so
+    a site's marginal is the same whatever the other single sites asked."""
     levels = _level_grid(model, box, groups)
-    tables = functools.reduce(
-        lambda acc, part: [a + t for a, t in zip(acc, part)],
-        _run_chunks(_dist_task, (model, box, exterior, tuple(betas),
-                                 tuple(groups) if levels else ((),) + tuple(groups),
-                                 levels), workers))
+    z_parts, tables = [], None
+    for z, part in _run_chunks(_dist_task, (model, box, exterior, tuple(betas),
+                                            tuple(groups), levels), workers):
+        z_parts.append(z)
+        tables = part if tables is None else [acc + t for acc, t in zip(tables, part)]
     out = []
     for bi, beta in enumerate(betas):
         if levels is None:
-            z, *sums = [table[:, bi] for table in tables]
+            z = math.fsum(part[bi] for part in z_parts)
+            sums = [table[:, bi] for table in tables]
         else:
             weight = np.exp(-beta * (np.arange(levels[1]) / levels[0]))
-            z, *sums = [[math.fsum(row) for row in (table * weight).tolist()]
-                        for table in [tables[0].sum(axis=0, keepdims=True)] + tables]
-        z = math.fsum(z)
+            z = math.fsum((tables[0].sum(axis=0) * weight).tolist())
+            sums = [[math.fsum(row) for row in (table * weight).tolist()] for table in tables]
         out.append((z, [np.asarray(s) / z for s in sums]))
     return out
 
@@ -395,10 +422,15 @@ def coexistence_gap(model: ModelSpec, box: Box, x: Site,
     group = (box.index_of(x),)
     under1, under2 = (_marginals(model, box, exterior, betas, [group], workers)
                       for exterior in (1, 2))
-    return [GapRecord(beta=beta, gap=float(d1[0] - d2[0]),
-                      permutation_residual=abs(float(d2[0]) - float(d1[1])),
-                      first_marginals=tuple(d1.tolist()), second_marginals=tuple(d2.tolist()))
-            for beta, (_, (d1,)), (_, (d2,)) in zip(betas, under1, under2)]
+    out = []
+    for beta, (_, (d1,)), (_, (d2,)) in zip(betas, under1, under2):
+        out.append(GapRecord(
+            beta=beta,
+            gap=float(d1[0] - d2[0]),
+            permutation_residual=abs(float(d2[0]) - float(d1[1])),
+            first_marginals=tuple(float(v) for v in d1),
+            second_marginals=tuple(float(v) for v in d2)))
+    return out
 
 
 # ---------------------------------------------------------------------------

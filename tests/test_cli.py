@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from peierls import (Box, Configuration, FiniteVolumeEnsemble, VerificationError,
-                     potts_model, verify_peierls_bound)
+                     builtin_model, enumerate_distribution, potts_model,
+                     verify_peierls_bound)
 from peierls import census, cli, exact
 from peierls.cli import main, parse_box, parse_site
 from peierls.io import load_manifest, save_configuration, save_model
@@ -409,13 +410,17 @@ def test_csv_bytes_are_pinned(tmp_path, case):
     assert got == pinned["sha256"]
 
 
-@pytest.mark.parametrize("builtin, boxes", [("ising", "3x3;4x4"), ("potts:q=3", "3x3")])
+@pytest.mark.parametrize("builtin, boxes", [("ising", "3x3;4x4"), ("potts:q=3", "3x3"),
+                                            ("potts:q=3,r=2", "3x3")])
 def test_coexist_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch,
                                                           builtin, boxes):
-    # CHUNK = 2^10 cuts ising 4x4 into 64 chunks and potts:q=3 3x3 into 27;
+    # CHUNK = 2^10 cuts ising 4x4 into 64 chunks and a q = 3 3x3 box into 27;
     # 2^14 into 4 and 3.  The low table's rows follow CHUNK, so its cache is
-    # cleared around each setting.
+    # cleared around each setting.  enumerate_distribution on the last box
+    # counts every site on the same levels, so it must not move either.
     argv = ["coexist", "--builtin", builtin, "--boxes", boxes, "--betas", "0.5,1,2"]
+    ens = FiniteVolumeEnsemble(box=parse_box(boxes.split(";")[-1]), exterior=1, beta=0.7,
+                               model=builtin_model(builtin))
     outputs = set()
     try:
         for chunk, workers in ((1 << 14, 1), (1 << 10, 1), (1 << 14, 2), (1 << 10, 2)):
@@ -423,8 +428,10 @@ def test_coexist_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch,
             exact._low_table.cache_clear()
             out = tmp_path / f"{chunk}-{workers}"
             assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+            dist = enumerate_distribution(ens, workers=workers)
             outputs.add(tuple((out / name).read_bytes()
-                              for name in ("coexistence.csv", "marginals.csv")))
+                              for name in ("coexistence.csv", "marginals.csv"))
+                        + (dist.log_partition, tuple(sorted(dist.marginals.items()))))
     finally:
         exact._low_table.cache_clear()
     assert len(outputs) == 1

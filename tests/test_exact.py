@@ -298,7 +298,7 @@ def test_marginals_match_an_fsum_oracle(spec, shape):
     ("ising", 1), ("potts:q=3", 2), ("potts-excited:q=3,s=2", 4), ("potts:d=3", 4),
     ("potts:q=3,r=2", 12), ("potts:q=2,r=3", 36), ("potts:J=0.1", 10)])
 def test_the_built_ins_lie_on_level_grids(spec, den):
-    assert exact._level_denominator(builtin_model(spec)) == den
+    assert exact._level_denominator(builtin_model(spec))[0] == den
 
 
 def test_a_box_at_the_level_bound_keeps_its_top_level():
@@ -310,7 +310,7 @@ def test_a_box_at_the_level_bound_keeps_its_top_level():
     model = ModelSpec(d=2, r=1, q=2, s=2, terms=(
         InteractionTerm.from_table([(0, 0), (1, 0), (0, 1), (1, 1)], table),))
     box = Box.from_shape((3, 3))
-    den, levels = exact._level_grid(model, box, [(0,)])
+    den, levels, _ = exact._level_grid(model, box, [(0,)])
     sweep = full_sweep(model, box, 1)
     assert sweep.energies.max() * den == levels - 1
     digits = digits_of(np.arange(len(sweep.energies)), 2, box.size)
@@ -327,13 +327,36 @@ def test_a_wrong_level_unit_is_refused_not_rounded(wrong, tmp_path, capsys, monk
     # 0.2 (grid 1/10 by its cube energies); on a coarser grid the sweep raises
     # an internal error (exit 4) instead of rounding to a level.  Most other
     # built-ins would not do: their box energies are whole numbers.
-    monkeypatch.setattr(exact, "_level_denominator", lambda model: wrong)
     model, box = builtin_model("potts:J=0.1"), Box.from_shape((3, 3))
+    _, slack = exact._level_denominator(model)
+    monkeypatch.setattr(exact, "_level_denominator", lambda model: (wrong, slack))
     with pytest.raises(ArithmeticError, match=f"units off the grid 1/{wrong}"):
         coexistence_gap(model, box, box.center, [1.0])
     argv = ["coexist", "--builtin", "potts:J=0.1", "--boxes", "3x3", "--betas", "1"]
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert f"units off the grid 1/{wrong}" in capsys.readouterr().err
+
+
+def test_a_model_just_off_a_grid_is_not_snapped_onto_it():
+    # J = 0.1 + 1e-11 puts the cube energies 1e-10 units off the grid 1/10:
+    # far above float rounding, so the sweep takes the float path, and its
+    # numbers stay those of J, not of J = 0.1
+    model, box = builtin_model("potts:J=0.10000000001"), Box.from_shape((3, 3))
+    assert exact._level_denominator(model) is None
+    sweep = full_sweep(model, box, 1)
+    digits = digits_of(np.arange(len(sweep.energies)), model.q, box.size)
+    x = box.index_of(box.center)
+    for beta in (1.0, 2.0):
+        w = np.exp(-beta * sweep.energies)
+        z = math.fsum(w)
+        p = [[math.fsum(w[digits[:, k] == v]) / z for v in range(model.q)]
+             for k in range(box.size)]
+        (rec,) = coexistence_gap(model, box, box.center, [beta])
+        assert abs(rec.gap - (p[x][0] - p[x][1])) <= 1e-13
+        dist = enumerate_distribution(
+            FiniteVolumeEnsemble(box=box, exterior=1, beta=beta, model=model))
+        for k, site in enumerate(box.sites()):
+            assert abs(dist.marginals[(site, 1)] - p[k][0]) <= 1e-13
 
 
 def test_empty_betas_give_empty_lists(ising, monkeypatch):
