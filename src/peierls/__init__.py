@@ -21,9 +21,8 @@ from .contours import (Boundary, Configuration, Contour, Subcontour, boundary,
                        contours, remove_contour, subcontours)
 from .exact import (ContourRecord, ContourStatistics, DistributionSummary,
                     FiniteVolumeEnsemble, GapRecord, coexistence_gap,
-                    config_from_index, contour_probability, contour_statistics,
-                    dlr_consistency, enumerate_distribution, full_sweep,
-                    index_of_config, marginal_trend, verify_peierls_bound)
+                    contour_probability, contour_statistics, dlr_consistency,
+                    enumerate_distribution, marginal_trend, verify_peierls_bound)
 from .census import (CensusRecord, CensusReport, ConnectorReport, CubeGraph,
                      contour_roundtrip_mismatches, max_degree, rooted_contour_counts,
                      rooted_subgraph_counts, subgraph_census, verify_connector_bound)

@@ -5,9 +5,10 @@ Every run writes its outputs plus a ``manifest.json`` into the output
 directory; ``rerun MANIFEST`` re-executes a manifest, and with the same
 worker count the CSV outputs are byte-identical.
 
-Exit codes: 0 all checks pass, 1 a verified bound failed or a model is not
-certifiable, 2 bad input, 3 an enumeration exceeded its budget, 4 an internal
-error (any other exception; a defect, never a verdict on the model).
+Exit codes: 0 all checks pass, 1 a verified bound failed or model-check found
+the model not certifiable, 2 bad input (so is an uncertified model to every
+other command), 3 an enumeration exceeded its budget, 4 an internal error
+(any other exception; a defect, never a verdict on the model).
 
 Each command is one row of ``_COMMANDS``: its runner, its help and its
 parameters, from which the parser, the manifest params and rerun's checks

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contours import Configuration, Contour, _grid, _light_contours, _serial
+from .contours import Contour, _grid, _light_contours, _serial
 from .errors import CapacityError, InputError, VerificationError
 from .lattice import Box, Site
 from .model import ModelSpec, _tables, digits_of, require_certified
@@ -271,19 +271,6 @@ def _run_chunks(task, head: tuple, workers: int):
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(task, argses)
-
-
-def config_from_index(box: Box, exterior: int, q: int, index: int) -> Configuration:
-    """The configuration at a sweep index (site k's digit is base-q digit k)."""
-    return Configuration(box, tuple((digits_of(index, q, box.size) + 1).tolist()),
-                         exterior)
-
-
-def index_of_config(config: Configuration, q: int) -> int:
-    idx = 0
-    for v in reversed(config.spins):
-        idx = idx * q + (v - 1)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -538,42 +525,6 @@ def contour_probability(ens: FiniteVolumeEnsemble, gamma: Contour,
     stats = contour_statistics(ens.model, ens.box, ens.exterior, [ens.beta],
                                budget=budget, workers=workers)[0]
     return dict(zip(stats.contours, stats.probabilities)).get(target, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Full sweep table (in-memory; small boxes)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SweepTable:
-    """Per-configuration energies and contour summaries of a whole ensemble."""
-
-    box: Box
-    exterior: int
-    model: ModelSpec
-    energies: np.ndarray
-    contours: list  # per index: tuple of (serial, size)
-
-
-def full_sweep(model: ModelSpec, box: Box, exterior: int,
-               budget: int | None = None) -> SweepTable:
-    """Materialize energies and contour lists for every configuration."""
-    _check_sweep(model, box, exterior, (),
-                 1 << 22 if budget is None else min(budget, 1 << 22))
-    count = model.q ** box.size
-    grid = _grid(model, box)
-    energies = np.empty(count, dtype=np.float64)
-    all_contours = []
-    ext_digit = exterior - 1
-    for start, stop in _chunk_ranges(model.q, box.size):
-        digits, codes, e = _chunk_rows(model, box, exterior, start)
-        energies[start:stop] = e
-        for digit_row, cubes in zip(digits.tolist(), grid.improper_cubes(codes)):
-            found = _light_contours(digit_row, ext_digit, cubes, grid)
-            all_contours.append(tuple((_serial(key, grid), len(owned))
-                                      for key, owned in found))
-    return SweepTable(box=box, exterior=exterior, model=model,
-                      energies=energies, contours=all_contours)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,15 @@ import pytest
 
 from peierls import (Box, ChainSpec, Configuration, FiniteVolumeEnsemble,
                      boundary, chebyshev_distance, coexistence_gap,
-                     conditional_hamiltonian, config_from_index,
                      contour_roundtrip_mismatches, contours, dlr_consistency,
                      enumerate_distribution, marginal_trend, max_degree,
-                     potts_model, relative_hamiltonian, remove_contour,
-                     rooted_contour_counts, rooted_subgraph_counts, run_chain,
-                     site_indicator, verify_ground_states, verify_peierls)
+                     potts_model, remove_contour, rooted_contour_counts,
+                     rooted_subgraph_counts, run_chain, site_indicator,
+                     verify_ground_states, verify_peierls)
 from peierls.cli import main
-from peierls.exact import contour_statistics, full_sweep
+from peierls.exact import contour_statistics
+
+from oracle import config_at, sweep_contours, sweep_energies
 
 ARITH_TOL = 1e-12
 
@@ -133,15 +134,15 @@ def test_criterion_04_contour_structure(ising, random_6x6):
 
 def test_criterion_05_removal_identities(ising):
     t0 = time.time()
-    sw = full_sweep(ising, Box((0, 0), (3, 3)), 1)
-    box = sw.box
+    box = Box((0, 0), (3, 3))
+    energies, lights_at = sweep_energies(ising, box, 1), sweep_contours(ising, box, 1)
     gap = verify_ground_states(ising).gap
     site_pow = {site: 2 ** k for k, site in enumerate(box.sites())}
     bad = 0
     pairs = 0
     images = set()
     for idx in range(2 ** 16):
-        lights = sw.contours[idx]
+        lights = lights_at[idx]
         if not lights:
             continue
         total = sum(size for _, size in lights)
@@ -149,13 +150,13 @@ def test_criterion_05_removal_identities(ising):
         for serial, size in lights:
             removed_idx = idx - sum((mark - 1) * site_pow[site]
                                     for site, mark in serial)
-            rem = sw.contours[removed_idx]
+            rem = lights_at[removed_idx]
             pairs += 1
             if sum(s for _, s in rem) != total - size:
                 bad += 1  # boundary-size identity
             if frozenset(rem) != all_serials - {(serial, size)}:
                 bad += 1  # contour list equals original minus gamma
-            if sw.energies[idx] - sw.energies[removed_idx] < gap * size - ARITH_TOL:
+            if energies[idx] - energies[removed_idx] < gap * size - ARITH_TOL:
                 bad += 1  # energy drop
             key = (serial, removed_idx)
             if key in images:
@@ -164,12 +165,12 @@ def test_criterion_05_removal_identities(ising):
     # spot-check the public removal operation against the index arithmetic
     rng = np.random.default_rng(99)
     for idx in rng.integers(0, 2 ** 16, size=300):
-        config = config_from_index(box, 1, 2, int(idx))
+        config = config_at(box, 1, 2, int(idx))
         for gamma in contours(config, ising):
             removed = remove_contour(config, gamma)
             expected_idx = int(idx) - sum(
                 (mark - 1) * site_pow[site] for site, mark in gamma.serial())
-            if removed != config_from_index(box, 1, 2, expected_idx):
+            if removed != config_at(box, 1, 2, expected_idx):
                 bad += 1
     elapsed = time.time() - t0
     _report(5, bad == 0, f"removal identities over the exhaustive 4x4 sweep "

@@ -17,9 +17,10 @@ from peierls.census import (EXACT_CONNECTOR_LIMIT, ConnectorReport,
                             _greedy_connector_size, _iter_marked_interiors,
                             _steiner_min_vertices)
 from peierls.contours import Contour, Subcontour, _box_index, _label_components
-from peierls.exact import full_sweep
 from peierls.lattice import Cube
 from peierls.model import builtin_model
+
+from oracle import sweep_contours
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +53,10 @@ def brute_rooted_sets(d, r, n, root=None):
 def brute_contour_counts_within_window(model, window_box, x, exterior=1):
     """Collect all distinct contours with interior inside a window by an
     exhaustive configuration sweep, keyed by size (oracle for the census)."""
-    sw = full_sweep(model, window_box, exterior)
     x_entry = x
     counts = {}
     seen = set()
-    for lights in sw.contours:
+    for lights in sweep_contours(model, window_box, exterior):
         for serial, size in lights:
             if serial in seen:
                 continue

@@ -48,6 +48,20 @@ def test_model_check_uncertifiable_model_exits_one(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--box", "2x2", "--betas", "1"], ["coexist", "--boxes", "2x2", "--betas", "1"],
+    ["sample", "--box", "2x2", "--beta", "1", "--seed", "1", "--sweeps", "2"],
+    ["census", "--n-max", "3"], ["contours", "config.txt"]])
+def test_other_commands_refuse_an_uncertified_model_as_bad_input(tmp_path, capsys, argv):
+    # CertificationError is an InputError: only model-check answers 1
+    out, config = tmp_path / "o", Configuration.constant(Box.from_shape((2, 2)), 1)
+    save_configuration(config, builtin_model("potts:J=-1"), tmp_path / "config.txt")
+    argv = [str(tmp_path / a) if a == "config.txt" else a for a in argv]
+    assert main(argv + ["--builtin", "potts:J=-1", "--out", str(out)]) == 2
+    assert "not certified" in capsys.readouterr().err
+    assert not list(out.glob("*"))  # no CSV, and no manifest either
+
+
 def test_model_check_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("dims 2 1\n")

@@ -9,10 +9,10 @@ from peierls import (Box, CertificationError, Configuration, InputError,
                      potts_model, remove_contour, subcontours,
                      verify_ground_states)
 from peierls.contours import _box_index
-from peierls.exact import config_from_index, full_sweep
 from peierls.lattice import ball_offsets
 
 from conftest import random_configs, single_flip
+from oracle import config_at, sweep_contours
 
 
 def brute_subcontours(config):
@@ -278,11 +278,10 @@ def test_improper_set_depends_only_on_the_contour(ising):
     box = Box((0, 0), (2, 2))
     target = contours(single_flip(box, (1, 1)), ising)[0]
     seen = set()
-    sw = full_sweep(ising, box, 1)
-    for idx, lights in enumerate(sw.contours):
+    for idx, lights in enumerate(sweep_contours(ising, box, 1)):
         serials = {s for s, _ in lights}
         if target.serial() in serials:
-            config = config_from_index(box, 1, 2, idx)
+            config = config_at(box, 1, 2, idx)
             for gamma in contours(config, ising):
                 if gamma.serial() == target.serial():
                     seen.add(gamma.improper_cubes)

@@ -8,21 +8,20 @@ import pytest
 
 from peierls import (Box, CapacityError, CertificationError, Configuration,
                      FiniteVolumeEnsemble, InputError, InteractionTerm, ModelSpec,
-                     VerificationError, coexistence_gap,
-                     conditional_hamiltonian, config_from_index,
-                     contour_probability, contours, dlr_consistency,
-                     enumerate_distribution, index_of_config, marginal_trend,
-                     potts_model, verify_peierls_bound)
+                     coexistence_gap, conditional_hamiltonian, contour_probability,
+                     contours, dlr_consistency, enumerate_distribution,
+                     marginal_trend, potts_model, verify_peierls_bound)
 from peierls import exact
 from peierls.cli import main
 from peierls.contours import _box_index, _grid, _light_contours, _serial
 from peierls.exact import (BOUND_TOL, CHUNK, _chunk_ranges, _contour_task, _low_table,
-                           _pool_size, contour_statistics, full_sweep)
+                           _pool_size, contour_statistics)
 from peierls.lattice import _box_sites
 from peierls.model import (_tables, builtin_model, check_symmetry, digits_of,
                            verify_ground_states)
 
 from conftest import random_configs, single_flip
+from oracle import config_at, sweep_contours, sweep_energies
 
 
 def oracle_distribution(model, box, exterior, beta):
@@ -151,11 +150,10 @@ def test_contour_probability_examples(ising):
     p = contour_probability(ens, flip)
     assert 0 < p <= math.exp(-8)
     # oracle: direct sweep count
-    sw = full_sweep(ising, box, 1)
-    weights = np.exp(-1.0 * sw.energies)
+    weights = np.exp(-1.0 * sweep_energies(ising, box, 1))
     z = weights.sum()
-    want = sum(w for idx, w in enumerate(weights)
-               if flip.serial() in {s for s, _ in sw.contours[idx]}) / z
+    want = sum(w for w, lights in zip(weights, sweep_contours(ising, box, 1))
+               if flip.serial() in {s for s, _ in lights}) / z
     assert p == pytest.approx(want, abs=1e-14)
     # a contour outside the box has probability zero
     far = contours(single_flip(Box((10, 10), (12, 12)), (11, 11)), ising)[0]
@@ -235,18 +233,22 @@ def test_contour_probability_finds_a_contour_by_its_serial():
         assert contour_probability(ens, gamma) == probability[gamma.serial()] > 0
 
 
-def test_sweep_energies_match_conditional_hamiltonian(ising):
+def test_sweep_energies_match_conditional_hamiltonian():
+    # the potts:q=3 exterior 2 has a nonzero exterior digit: an oracle that
+    # ignored the exterior would fail there
     box = Box((0, 0), (2, 2))
-    sw = full_sweep(ising, box, 1)
-    rng = np.random.default_rng(6)
-    for idx in rng.integers(0, 2 ** 9, size=40):
-        config = config_from_index(box, 1, 2, int(idx))
-        assert index_of_config(config, 2) == int(idx)
-        assert sw.energies[idx] == pytest.approx(
-            conditional_hamiltonian(config, ising), abs=1e-12)
-        got = {(s, n) for s, n in sw.contours[idx]}
-        want = {(g.serial(), g.size) for g in contours(config, ising)}
-        assert got == want
+    for spec, exterior in [("ising", 1), ("potts:q=3", 2)]:
+        model = builtin_model(spec)
+        energies = sweep_energies(model, box, exterior)
+        lights = sweep_contours(model, box, exterior)
+        rng = np.random.default_rng(6)
+        for idx in rng.integers(0, model.q ** 9, size=40):
+            config = config_at(box, exterior, model.q, int(idx))
+            assert energies[idx] == pytest.approx(
+                conditional_hamiltonian(config, model), abs=1e-12)
+            got = {(s, n) for s, n in lights[idx]}
+            want = {(g.serial(), g.size) for g in contours(config, model)}
+            assert got == want
 
 
 def test_marginal_trend(ising, potts3):
@@ -271,16 +273,16 @@ def test_coexistence_gap(ising):
 
 @pytest.mark.parametrize("spec, shape", [("ising", (4, 4)), ("potts:q=3", (3, 3))])
 def test_marginals_match_an_fsum_oracle(spec, shape):
-    # oracle: math.fsum of full_sweep's per-configuration weights; P_2(x = 1)
-    # is P_1(x = 2) by the swap of spins 1 and 2
+    # oracle: math.fsum of the reference sweep's per-configuration weights;
+    # P_2(x = 1) is P_1(x = 2) by the swap of spins 1 and 2
     model, box = builtin_model(spec), Box.from_shape(shape)
-    sweep = full_sweep(model, box, 1)
-    digits = digits_of(np.arange(len(sweep.energies)), model.q, box.size)
+    energies = sweep_energies(model, box, 1)
+    digits = digits_of(np.arange(len(energies)), model.q, box.size)
     x = box.index_of(box.center)
     betas = [0.5, 1.0, 2.0]
     gaps = coexistence_gap(model, box, box.center, betas)
     for beta, rec in zip(betas, gaps):
-        w = np.exp(-beta * sweep.energies)
+        w = np.exp(-beta * energies)
         z = math.fsum(w)
         p = [[math.fsum(w[digits[:, k] == v]) / z for v in range(model.q)]
              for k in range(box.size)]
@@ -311,10 +313,10 @@ def test_a_box_at_the_level_bound_keeps_its_top_level():
         InteractionTerm.from_table([(0, 0), (1, 0), (0, 1), (1, 1)], table),))
     box = Box.from_shape((3, 3))
     den, levels, _ = exact._level_grid(model, box, [(0,)])
-    sweep = full_sweep(model, box, 1)
-    assert sweep.energies.max() * den == levels - 1
-    digits = digits_of(np.arange(len(sweep.energies)), 2, box.size)
-    w = np.exp(-0.7 * sweep.energies)
+    energies = sweep_energies(model, box, 1)
+    assert energies.max() * den == levels - 1
+    digits = digits_of(np.arange(len(energies)), 2, box.size)
+    w = np.exp(-0.7 * energies)
     for k in (0, 4):  # a corner, spin 2 at the top, and the centre, spin 1
         want = math.fsum(w[digits[:, k] == 1]) / math.fsum(w)
         (got,) = marginal_trend(model, box, box.sites()[k], 1, 2, [0.7])
@@ -343,11 +345,11 @@ def test_a_model_just_off_a_grid_is_not_snapped_onto_it():
     # numbers stay those of J, not of J = 0.1
     model, box = builtin_model("potts:J=0.10000000001"), Box.from_shape((3, 3))
     assert exact._level_denominator(model) is None
-    sweep = full_sweep(model, box, 1)
-    digits = digits_of(np.arange(len(sweep.energies)), model.q, box.size)
+    energies = sweep_energies(model, box, 1)
+    digits = digits_of(np.arange(len(energies)), model.q, box.size)
     x = box.index_of(box.center)
     for beta in (1.0, 2.0):
-        w = np.exp(-beta * sweep.energies)
+        w = np.exp(-beta * energies)
         z = math.fsum(w)
         p = [[math.fsum(w[digits[:, k] == v]) / z for v in range(model.q)]
              for k in range(box.size)]
@@ -458,12 +460,6 @@ def test_exterior_outside_the_sector_is_refused(ising, exterior):
         contour_statistics(ising, box, exterior, [1.0])
     with pytest.raises(InputError):
         marginal_trend(ising, box, (0, 0), exterior, 2, [1.0])
-
-
-@pytest.mark.parametrize("exterior", [0, 3])
-def test_full_sweep_refuses_an_exterior_outside_the_sector(ising, exterior):
-    with pytest.raises(InputError):
-        full_sweep(ising, Box.from_shape((2, 2)), exterior)
 
 
 def test_pool_size_is_clamped(monkeypatch):

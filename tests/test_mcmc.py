@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from peierls import (Box, ChainSpec, Configuration, FiniteVolumeEnsemble,
-                     InputError, builtin_model, conditional_hamiltonian,
-                     contours, enumerate_distribution,
-                     estimate_contour_size_tail, potts_model,
-                     rooted_contour_counts, run_chain, site_conditional,
-                     site_indicator, tail_envelope)
+from peierls import (Box, ChainSpec, FiniteVolumeEnsemble, InputError,
+                     builtin_model, conditional_hamiltonian, enumerate_distribution,
+                     estimate_contour_size_tail, rooted_contour_counts, run_chain,
+                     site_conditional, site_indicator, tail_envelope)
 from peierls import mcmc
 from peierls.mcmc import _ChainState
 
 from conftest import random_configs
+from oracle import sweep_contours, sweep_energies
 
 
 def make_ensemble(model, side, beta, exterior=1):
@@ -95,14 +94,12 @@ def test_chain_spec_validation(ising):
 
 def test_tail_estimate_cross_checked_against_exact(ising):
     # exact P(max contour size >= n) on 3x3 from the sweep
-    from peierls.exact import full_sweep
     beta = 1.0
     ens = make_ensemble(ising, 3, beta)
-    sw = full_sweep(ising, ens.box, 1)
-    w = np.exp(-beta * sw.energies)
+    w = np.exp(-beta * sweep_energies(ising, ens.box, 1))
     z = w.sum()
     maxima = np.array([max((s for _, s in lights), default=0)
-                       for lights in sw.contours])
+                       for lights in sweep_contours(ising, ens.box, 1)])
     spec = ChainSpec(ensemble=ens, seed=23, burn_in=200, samples=6000)
     report = estimate_contour_size_tail(spec, n_max=6)
     assert report.records[0].frequency == 1.0  # size >= 0 always

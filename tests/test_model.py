@@ -1,7 +1,5 @@
 import itertools
-import math
 
-import numpy as np
 import pytest
 
 from peierls import (Box, CapacityError, CertificationError, Configuration,

@@ -31,12 +31,13 @@ from peierls import (Box, CubePotential, FiniteVolumeEnsemble, InteractionTerm,
 from peierls import exact
 from peierls.contours import _grid
 from peierls.exact import (_chunk_ranges, _chunk_rows, _dist_task, _level_grid,
-                           _low_digit_count, _low_table, config_from_index,
-                           contour_statistics, full_sweep)
+                           _low_digit_count, _low_table, contour_statistics)
 from peierls.lattice import ball_offsets, cubes_meeting_box
 from peierls.mcmc import _ChainState
 from peierls.model import (_tables, cube_sites, digits_of, permute_spins,
                            verify_ground_states)
+
+from oracle import config_at, sweep_energies
 
 
 def symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
@@ -58,7 +59,7 @@ def symmetric_model(q: int, r: int, s: int, seed: int) -> ModelSpec:
 def oracle_energy(model: ModelSpec, box: Box, exterior: int, index: int) -> tuple:
     """Relative energy of one sweep index, read cube by cube, with the scale
     of its terms."""
-    config = config_from_index(box, exterior, model.q, index)
+    config = config_at(box, exterior, model.q, index)
     potential = CubePotential(model)
     u_min = _tables(model).u_min
     values = [potential.value([config.spin_at(site) for site in cube.sites()])
@@ -246,8 +247,8 @@ def test_marginal_sweep_matches_the_full_sweep(case, beta, quarter):
     box = Box.from_shape(shape)
     exterior = 1 + seed % s
 
-    # oracle: a numpy reduction of the materialised sweep
-    w = np.exp(-beta * full_sweep(model, box, exterior).energies)
+    # oracle: a numpy reduction of the reference sweep
+    w = np.exp(-beta * sweep_energies(model, box, exterior))
     digits = digits_of(np.arange(len(w)), q, box.size)
     marginals = np.array([np.bincount(digits[:, k], weights=w, minlength=q)
                           for k in range(box.size)]) / w.sum()
@@ -296,15 +297,12 @@ def test_contour_statistics_match_the_public_extractor(case, betas):
     exterior = 1 + seed % s
     count = q ** box.size
 
-    # oracle: energies from every cube's code at once, contours from the
-    # public extractor, one configuration at a time
-    tables = _tables(model)
-    codes = _grid(model, box).codes(digits_of(np.arange(count), q, box.size),
-                                    exterior - 1)
-    energies = (tables.u[codes] - tables.u_min).sum(axis=1)
+    # oracle: energies from the reference sweep, contours from the public
+    # extractor, one configuration at a time
+    energies = sweep_energies(model, box, exterior)
     holding = {}  # (serial, size) -> indices of the configurations holding it
     for index in range(count):
-        config = config_from_index(box, exterior, q, index)
+        config = config_at(box, exterior, q, index)
         for gamma in contours(config, model):
             holding.setdefault((gamma.serial(), gamma.size), []).append(index)
 
